@@ -51,16 +51,17 @@ experiments:
 
 # Regenerate the committed benchmark-trajectory baseline (see
 # "Performance trajectory" in README.md). Run on a quiet machine, eyeball
-# the diff, and commit BENCH_8.json alongside the change that moved it.
+# the diff, and commit BENCH_14.json alongside the change that moved it.
 trajectory:
-	$(GO) run ./cmd/bddbench -trajectory -quick -json > BENCH_8.json
+	$(GO) run ./cmd/bddbench -trajectory -quick -json > BENCH_14.json
 
 # Diff a fresh sweep against the committed baseline; a max-feasible-n
-# drop exits nonzero, ns/op growth past 3x is reported but advisory (the
-# CI bench-smoke job runs exactly this and gates on it).
+# drop or a min_cost mismatch (against the baseline or between solvers)
+# exits nonzero, ns/op growth past 3x is reported but advisory (the CI
+# bench-smoke job runs exactly this and gates on it).
 trajectory-check:
 	$(GO) run ./cmd/bddbench -trajectory -quick -json > /tmp/bench_new.json
-	$(GO) run ./cmd/bddbench -compare -threshold 3.0 -ns-advisory BENCH_8.json /tmp/bench_new.json
+	$(GO) run ./cmd/bddbench -compare -threshold 3.0 -ns-advisory BENCH_14.json /tmp/bench_new.json
 
 examples:
 	$(GO) run ./examples/quickstart
@@ -79,16 +80,17 @@ trace-demo:
 		-expr 'x1&x2 | x3&x4 | x5&x6 | x7&x8 | x9&x10 | x11&x12' \
 		-progress -json
 
-# Portfolio demo: the heuristic phase seeds a DP-vs-BnB race (watch the
-# lane_start/race_won/lane_canceled narration on stderr), then the same
-# solver under a 50ms deadline on a 14-variable parity chain degrades to
-# the heuristic incumbent instead of hanging.
+# Portfolio demo: the default solver dispatches to the parallel DP engine
+# (watch its layers and one lane_result line on stderr), then the same
+# solver under a 50ms deadline on an 18-variable parity chain — seconds
+# of DP work — stops the engine and degrades to the heuristic incumbent
+# instead of hanging.
 portfolio-demo:
 	$(GO) run ./cmd/optobdd \
 		-expr 'x1&x2 | x3&x4 | x5&x6 | x7&x8' \
 		-solver portfolio -progress
 	$(GO) run ./cmd/optobdd \
-		-expr 'x1^x2^x3^x4^x5^x6^x7 | x8&x9&x10 | x11&x12&x13&x14' \
+		-expr 'x1^x2^x3^x4^x5^x6^x7^x8^x9 | x10&x11&x12 | x13&x14&x15 | x16&x17&x18' \
 		-solver portfolio -deadline 50ms -progress
 
 # Scheduler demo: a deliberately contended parallel run — 8 workers over

@@ -23,7 +23,9 @@ type Client = server.Client
 
 // ClientParams configures one remote solve (solver, rule, deadline,
 // budget, cache bypass); the zero value requests the portfolio solver
-// on OBDDs under the server's default limits.
+// (the parallel dynamic program, or seeded branch-and-bound under a
+// cell budget below its closed-form peak) on OBDDs under the server's
+// default limits.
 type ClientParams = server.Params
 
 // BatchResult is one outcome of Client.SolveBatch, index-aligned with

@@ -37,8 +37,9 @@ func TestFacadeClientServer(t *testing.T) {
 		t.Errorf("remote = %+v, local = %+v", remote, local)
 	}
 
-	// The sentinel contract crosses the wire.
-	big := RandomTable(14, rand.New(rand.NewSource(8)))
+	// The sentinel contract crosses the wire. n = 18 is seconds of DP
+	// work, so the 50ms deadline stops it on any machine.
+	big := RandomTable(18, rand.New(rand.NewSource(8)))
 	_, err = c.Solve(ctx, big, &ClientParams{Deadline: 50 * time.Millisecond, NoCache: true})
 	if !errors.Is(err, ErrCanceled) {
 		t.Errorf("remote deadline err = %v, want errors.Is ErrCanceled", err)

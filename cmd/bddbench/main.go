@@ -14,7 +14,7 @@
 //	bddbench -solver portfolio -n 12 -reps 3      # time one solver
 //	bddbench -solver fs -n 14 -deadline 100ms     # deadline behavior
 //	bddbench -trajectory -json > BENCH.json       # solver x n sweep artifact
-//	bddbench -compare old.json new.json           # diff artifacts; nonzero on regression
+//	bddbench -compare old.json new.json           # diff artifacts; nonzero on regression or min_cost mismatch
 //
 // Observability: -json wraps each experiment in a run report (schema
 // internal/obs.RunReport) carrying wall time, the experiment's table text

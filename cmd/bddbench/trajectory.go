@@ -258,13 +258,18 @@ var errRegression = errors.New("bddbench: benchmark regression past threshold")
 // (solver, rule, n) — points present in only one file (different sweep
 // depth, timeouts) are skipped — and a completed point whose ns/op grew
 // by more than threshold× is a regression, as is a solver whose
-// max-feasible-n shrank. Returns errRegression when any were found.
+// max-feasible-n shrank. MinCost is a correctness tripwire: a completed
+// point whose min_cost differs from the old artifact's, or from another
+// solver's at the same (rule, n) in the new artifact, is a mismatch
+// (timed-out points carry unproven incumbents and are skipped). Returns
+// errRegression when any regression or mismatch was found.
 //
 // With nsAdvisory, ns/op growth is still reported but never fails the
-// comparison; only a max-feasible-n drop does. This is the CI gate mode:
-// feasibility is machine-independent (a solver either finishes inside
-// the cap or it does not), while ns/op on shared runners is too noisy to
-// block merges on.
+// comparison; max-feasible-n drops and min_cost mismatches still do. This
+// is the CI gate mode: feasibility and optima are machine-independent (a
+// solver either finishes inside the cap or it does not, and exact
+// solvers agree), while ns/op on shared runners is too noisy to block
+// merges on.
 func runCompare(stdout io.Writer, oldPath, newPath string, threshold float64, nsAdvisory bool) error {
 	if threshold <= 1 {
 		return fmt.Errorf("-threshold must be > 1 (got %g)", threshold)
@@ -293,9 +298,35 @@ func runCompare(stdout io.Writer, oldPath, newPath string, threshold float64, ns
 	}
 	fmt.Fprintf(stdout, "comparing %s (rev %s) -> %s (rev %s), threshold %.2fx%s\n",
 		oldPath, orDash(oldT.GitRev), newPath, orDash(newT.GitRev), threshold, mode)
+	type slice struct {
+		rule string
+		n    int
+	}
+	optimum := map[slice]TrajPoint{} // first completed point per (rule, n)
+	for _, np := range newT.Points {
+		if np.TimedOut || np.Err != "" {
+			continue
+		}
+		first, ok := optimum[slice{np.Rule, np.N}]
+		if !ok {
+			optimum[slice{np.Rule, np.N}] = np
+		} else if np.MinCost != first.MinCost {
+			regressions++
+			fmt.Fprintf(stdout, "  %-5s n=%-3d min_cost %s %d != %s %d  MISMATCH\n",
+				np.Rule, np.N, np.Solver, np.MinCost, first.Solver, first.MinCost)
+		}
+	}
 	for _, np := range newT.Points {
 		op, ok := oldPts[key{np.Solver, np.Rule, np.N}]
-		if !ok || op.TimedOut || np.TimedOut || op.Err != "" || np.Err != "" || op.NsPerOp <= 0 {
+		if !ok || op.TimedOut || np.TimedOut || op.Err != "" || np.Err != "" {
+			continue
+		}
+		if np.MinCost != op.MinCost {
+			regressions++
+			fmt.Fprintf(stdout, "  %-10s %-5s n=%-3d min_cost %d -> %d  MISMATCH\n",
+				np.Solver, np.Rule, np.N, op.MinCost, np.MinCost)
+		}
+		if op.NsPerOp <= 0 {
 			continue
 		}
 		compared++

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -195,20 +196,91 @@ func TestCompareRejectsBadInputs(t *testing.T) {
 	}
 }
 
-// TestCommittedArtifactIsCurrent guards BENCH_6.json: it must parse,
-// carry the current schema, and self-compare clean — so the CI smoke
-// job always has a valid baseline to diff against.
+// TestCompareDetectsMinCostMismatch pins the correctness tripwires: a
+// completed point whose min_cost moved between the artifacts, or that
+// disagrees with another solver's at the same (rule, n) in the new
+// artifact, fails the comparison even in the ns-advisory CI mode, while
+// timed-out points (unproven incumbents) are never checked.
+func TestCompareDetectsMinCostMismatch(t *testing.T) {
+	traj := tinyTrajectory(t)
+	oldPath := writeTrajectory(t, "old.json", traj)
+	// Index of a completed point whose (rule, n) other solvers also
+	// completed, so a changed cost there is a cross-solver disagreement.
+	target := -1
+	for i, p := range traj.Points {
+		if p.TimedOut || p.Err != "" {
+			continue
+		}
+		for j, q := range traj.Points {
+			if j != i && q.Rule == p.Rule && q.N == p.N && !q.TimedOut && q.Err == "" {
+				target = i
+			}
+		}
+	}
+	if target < 0 {
+		t.Fatal("tiny sweep has no (rule, n) completed by two solvers")
+	}
+	// mutate copies traj, applying f to the target point — or, with
+	// wholeSlice, to every point at the target's (rule, n).
+	mutate := func(wholeSlice bool, f func(p *TrajPoint)) *Trajectory {
+		c := *traj
+		c.Points = append([]TrajPoint(nil), traj.Points...)
+		for i := range c.Points {
+			p, tp := &c.Points[i], traj.Points[target]
+			if i == target || (wholeSlice && p.Rule == tp.Rule && p.N == tp.N) {
+				f(p)
+			}
+		}
+		return &c
+	}
+
+	// Moved between artifacts, every solver still agreeing.
+	moved := writeTrajectory(t, "moved.json", mutate(true, func(p *TrajPoint) { p.MinCost++ }))
+	var out bytes.Buffer
+	if err := runCompare(&out, oldPath, moved, 3, true); err == nil || !strings.Contains(out.String(), "MISMATCH") {
+		t.Errorf("moved min_cost passed the advisory compare (err %v):\n%s", err, out.String())
+	}
+
+	// Nothing moved, but the artifact contradicts itself.
+	split := writeTrajectory(t, "split.json", mutate(false, func(p *TrajPoint) { p.MinCost++ }))
+	out.Reset()
+	if err := runCompare(&out, split, split, 3, true); err == nil || !strings.Contains(out.String(), "MISMATCH") {
+		t.Errorf("cross-solver disagreement passed the self-compare (err %v):\n%s", err, out.String())
+	}
+
+	// A timed-out point carries an unproven incumbent: never a mismatch.
+	timedOut := writeTrajectory(t, "timeout.json", mutate(false, func(p *TrajPoint) { p.MinCost++; p.TimedOut = true }))
+	out.Reset()
+	if err := runCompare(&out, oldPath, timedOut, 3, true); err != nil || strings.Contains(out.String(), "MISMATCH") {
+		t.Errorf("timed-out incumbent flagged (err %v):\n%s", err, out.String())
+	}
+}
+
+// TestCommittedArtifactIsCurrent guards the highest-numbered BENCH_*.json
+// — the baseline the Makefile and the CI bench-smoke job diff against: it
+// must parse, carry the current schema, and self-compare clean, solvers
+// agreeing on every completed optimum.
 func TestCommittedArtifactIsCurrent(t *testing.T) {
-	path := filepath.Join("..", "..", "BENCH_7.json")
+	paths, err := filepath.Glob(filepath.Join("..", "..", "BENCH_*.json"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no committed BENCH_*.json artifact (err %v)", err)
+	}
+	path, latest := "", -1
+	for _, p := range paths {
+		num, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(filepath.Base(p), "BENCH_"), ".json"))
+		if err == nil && num > latest {
+			path, latest = p, num
+		}
+	}
 	traj, err := loadTrajectory(path)
 	if err != nil {
 		t.Fatalf("committed artifact: %v", err)
 	}
 	if len(traj.Points) == 0 || len(traj.MaxFeasibleN) == 0 {
-		t.Fatal("committed artifact is empty")
+		t.Fatalf("committed artifact %s is empty", path)
 	}
 	var out bytes.Buffer
 	if err := runCompare(&out, path, path, 1.5, false); err != nil {
-		t.Fatalf("committed artifact self-compare: %v\n%s", err, out.String())
+		t.Fatalf("committed artifact %s self-compare: %v\n%s", path, err, out.String())
 	}
 }

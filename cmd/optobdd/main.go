@@ -1,7 +1,9 @@
 // Command optobdd computes an exact optimal variable ordering for a
 // Boolean function using any registered solver: the Friedman–Supowit
 // dynamic program (serial or parallel), branch-and-bound, divide-and-
-// conquer, brute force, or the portfolio racing them.
+// conquer, brute force, or the portfolio — the parallel DP, or
+// heuristic-seeded branch-and-bound when -max-cells is below the DP's
+// closed-form peak.
 //
 // Usage examples:
 //
@@ -23,7 +25,10 @@
 // and -max-nodes bound space and work. When a limit stops the run early,
 // solvers that carry an incumbent (bnb, brute, portfolio) report the best
 // ordering found — flagged as not proven optimal — and the process exits
-// zero; solvers without one (fs, parallel, dnc) fail with the error.
+// zero; solvers without one (fs, parallel, dnc) fail with the error. The
+// portfolio's incumbent after a deadline is the heuristic seeder's, which
+// sees the same expired deadline and usually returns its starting
+// ordering.
 //
 // Observability: -progress streams per-layer DP progress to stderr as the
 // run advances; -json replaces the human-readable summary with one JSON

@@ -78,6 +78,34 @@ func (a *Arena) Reset() {
 	}
 }
 
+// Trim keeps at most limit cells on the free lists and drops the rest
+// for the GC, filling the limit from the largest size class down (large
+// blocks are the expensive ones to fault back in). Dropped list slots are
+// cleared so the lists' backing arrays stop referencing the blocks. It
+// returns the cells kept.
+func (a *Arena) Trim(limit uint64) (kept uint64) {
+	for c := maxClass - 1; c >= 0; c-- {
+		l := a.free[c]
+		keep := uint64(len(l))
+		if room := (limit - kept) >> uint(c); keep > room {
+			keep = room
+		}
+		clear(l[keep:])
+		a.free[c] = l[:keep]
+		kept += keep << uint(c)
+	}
+	return kept
+}
+
+// FreeCells returns the cells held on the free lists.
+func (a *Arena) FreeCells() uint64 {
+	var cells uint64
+	for c, l := range a.free {
+		cells += uint64(len(l)) << uint(c)
+	}
+	return cells
+}
+
 // Stats reports block requests and free-list hits since construction.
 func (a *Arena) Stats() (gets, reuses uint64) { return a.gets, a.reuses }
 

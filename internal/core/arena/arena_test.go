@@ -127,3 +127,70 @@ func TestDedupGrowAfterShrink(t *testing.T) {
 		}
 	}
 }
+
+// fill puts count fresh blocks of size cells on a's free lists.
+func fill(a *Arena, size uint64, count int) {
+	for i := 0; i < count; i++ {
+		a.PutU32(make([]uint32, size))
+	}
+}
+
+func TestTrimKeepsAtMostLimit(t *testing.T) {
+	for _, limit := range []uint64{0, 1, 7, 100, 1000, 5000, 1 << 20} {
+		var a Arena
+		fill(&a, 256, 4)
+		fill(&a, 64, 9)
+		fill(&a, 4, 20)
+		fill(&a, 1, 3)
+		before := a.FreeCells()
+		kept := a.Trim(limit)
+		if got := a.FreeCells(); got != kept {
+			t.Errorf("limit %d: Trim reported %d kept, free lists hold %d", limit, kept, got)
+		}
+		if kept > limit {
+			t.Errorf("limit %d: kept %d cells", limit, kept)
+		}
+		if limit >= before && kept != before {
+			t.Errorf("limit %d >= %d free: kept %d, want everything", limit, before, kept)
+		}
+	}
+}
+
+func TestTrimKeepsLargerClassesFirst(t *testing.T) {
+	var a Arena
+	fill(&a, 256, 3)
+	fill(&a, 16, 10)
+	fill(&a, 2, 10)
+	// Room for two 256-cell blocks and 100 cells more: the third large
+	// block cannot fit, the 16-cell class fills 96 of the remaining 100,
+	// and the 2-cell class the last 4.
+	kept := a.Trim(2*256 + 100)
+	if kept != 2*256+96+4 {
+		t.Fatalf("kept %d cells, want %d", kept, 2*256+96+4)
+	}
+	for size, want := range map[uint64]int{256: 2, 16: 6, 2: 2} {
+		if got := len(a.free[class(size)]); got != want {
+			t.Errorf("class of size %d keeps %d blocks, want %d", size, got, want)
+		}
+	}
+}
+
+func TestTrimClearsDroppedSlots(t *testing.T) {
+	var a Arena
+	fill(&a, 32, 8)
+	a.Trim(3 * 32)
+	l := a.free[class(32)]
+	if len(l) != 3 {
+		t.Fatalf("kept %d blocks, want 3", len(l))
+	}
+	for i, b := range l[len(l):cap(l)] {
+		if b != nil {
+			t.Errorf("dropped slot %d still references a %d-cell block", len(l)+i, len(b))
+		}
+	}
+	// Trimmed lists keep working.
+	a.PutU32(make([]uint32, 32))
+	if got := a.FreeCells(); got != 4*32 {
+		t.Errorf("FreeCells after a Put = %d, want %d", got, 4*32)
+	}
+}

@@ -110,6 +110,30 @@ func acquireWorkspace() *workspace { return wsPool.Get().(*workspace) }
 // were not Put back are simply never recycled (see arena.Arena).
 func (ws *workspace) release() { wsPool.Put(ws) }
 
+// releaseCapped returns the workspaces of one multi-worker run to the
+// pool, keeping at most peak cells on their arenas' free lists in total.
+// Blocks migrate between the workers' arenas during such a run (a retired
+// layer lands on whichever arena retires it), so the other workers keep
+// allocating fresh blocks; uncapped, the pooled free lists would grow
+// with every run until a GC empties the pool. The run's metered peak is
+// all that a repeat of the run can use.
+func releaseCapped(wss []*workspace, peak uint64) {
+	for _, ws := range wss {
+		peak -= ws.ar.Trim(peak)
+	}
+	if releaseHook != nil {
+		releaseHook(wss)
+	}
+	for _, ws := range wss {
+		ws.release()
+	}
+}
+
+// releaseHook, when set, sees a multi-worker run's workspaces after the
+// cap and before they return to the pool. Tests use it to measure what
+// the pool keeps; it is nil otherwise.
+var releaseHook func(wss []*workspace)
+
 // recycle returns a context's table block to the workspace's arena. It is
 // the storage-side half of releasing a context; the metering-side half
 // (m.free) stays at the call site where the meterbalance analyzer can see

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+
+	"obddopt/internal/bitops"
 )
 
 // This file is the cancellation-and-budget layer threaded through every
@@ -48,6 +50,22 @@ type Budget struct {
 
 // zero reports whether the budget imposes no limit.
 func (b Budget) zero() bool { return b.MaxCells == 0 && b.MaxNodes == 0 }
+
+// PeakCellsBound is the closed form of Remark 1's space bound for the
+// subset dynamic program on n variables: the widest pair of adjacent
+// popcount layers, max_k [C(n,k)·2^(n−k) + C(n,k−1)·2^(n−k+1)] table
+// cells, plus the 2^n-cell base truth table. It is known before a run
+// starts, so a MaxCells below it rules the layer-by-layer DP out up
+// front.
+func PeakCellsBound(n int) uint64 {
+	var widest uint64
+	for k := 1; k <= n; k++ {
+		if v := bitops.Binomial(n, k)<<uint(n-k) + bitops.Binomial(n, k-1)<<uint(n-k+1); v > widest {
+			widest = v
+		}
+	}
+	return widest + 1<<uint(n)
+}
 
 // limiter carries the cooperative-checkpoint state of one run: the
 // context, the budget, and the node counter. Methods are nil-safe; a nil

@@ -2,10 +2,7 @@ package core
 
 import (
 	stdctx "context"
-	"fmt"
-	"runtime/pprof"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
@@ -13,15 +10,13 @@ import (
 	"obddopt/internal/truthtable"
 )
 
-// This file is the portfolio engine and the named-solver registry behind
-// the top-level Solve API. The portfolio races the two exact strategies
-// with complementary cost profiles — the Friedman–Supowit dynamic program
-// (predictable O*(3^n) work, no usable incumbent until it finishes) and
-// branch-and-bound (unpredictable but often far cheaper when seeded with
-// a tight bound, carries an incumbent throughout) — after a cheap
-// heuristic phase whose incumbent both seeds the branch-and-bound bound
-// and serves as the graceful-degradation answer when a deadline or budget
-// stops the race before either lane proves optimality.
+// This file is the named-solver registry behind the top-level Solve API
+// and its default solver, the portfolio: a deterministic dispatch to the
+// Friedman–Supowit dynamic program (predictable n·3^(n−1) work and a
+// closed-form peak, Theorem 5 and Remark 1), or — only under a cell
+// budget that peak cannot meet — to branch-and-bound seeded by the
+// heuristic phase. The heuristic phase otherwise runs only after an
+// early stop, to hand back a valid but unproven incumbent.
 
 // SolveOptions is the option set shared by every registered solver. It is
 // a superset of the per-algorithm option structs: fields irrelevant to a
@@ -31,19 +26,19 @@ type SolveOptions struct {
 	// Rule selects the diagram variant (OBDD or ZDD).
 	Rule Rule
 	// Meter, if non-nil, accumulates operation counts. The portfolio
-	// gives each lane a private meter and merges them after all lanes
-	// have joined, so the final counters aggregate the whole race.
+	// passes it to the engine it dispatches to.
 	Meter *Meter
 	// Trace, if non-nil, receives the solver's events; the portfolio
-	// additionally emits lane_start / lane_result / race_won /
-	// lane_canceled events. Implementations must be safe for concurrent
-	// Emit calls (all of internal/obs's are).
+	// additionally emits one lane_result event for the engine it ran and
+	// one for the heuristic phase when that ran. Implementations must be
+	// safe for concurrent Emit calls (all of internal/obs's are): the
+	// parallel DP's workers emit layer events from their goroutines.
 	Trace obs.Tracer
 	// Budget bounds the run's resources; the zero value is unlimited.
-	// The portfolio applies the budget to each lane independently.
+	// The portfolio also dispatches on MaxCells (see Portfolio).
 	Budget Budget
-	// Workers is the goroutine count for the parallel DP lanes; 0 selects
-	// GOMAXPROCS.
+	// Workers is the goroutine count of the parallel DP, the portfolio's
+	// included; 0 selects GOMAXPROCS.
 	Workers int
 	// ShardBits overrides the work-stealing scheduler's shard granularity:
 	// when positive, each popcount layer is split into shards of 2^ShardBits
@@ -186,222 +181,105 @@ func init() {
 	RegisterSolver("portfolio", Portfolio)
 }
 
-// parallelLaneThreshold is the variable count above which the portfolio's
-// DP lane uses the multi-core dynamic program: below it the layers are
-// too small for the fan-out to pay for goroutine coordination.
-const parallelLaneThreshold = 12
-
-// laneOutcome is one exact lane's final state.
-type laneOutcome struct {
-	name    string
-	res     *Result
-	err     error
-	meter   *Meter
-	elapsed time.Duration
-}
-
-// Portfolio is the registered "portfolio" solver: a heuristic phase
-// (DefaultSeeder — Sift then simulated annealing) followed by a race
-// between the Friedman–Supowit dynamic program (parallel above
-// parallelLaneThreshold variables) and branch-and-bound seeded with the
-// heuristic incumbent. The first lane to prove optimality wins and the
-// loser is canceled. The returned cost is exact whenever err is nil —
-// both lanes are exact algorithms, so the race only changes which proof
-// arrives first, never the answer.
+// Portfolio is the registered "portfolio" solver, the default of Solve
+// and /v1/solve. It dispatches on closed forms the paper gives before a
+// run starts instead of racing solvers to learn which finishes first:
+// the Friedman–Supowit DP does n·3^(n−1) cell operations on every input
+// (Theorem 5) and holds at most PeakCellsBound(n) live cells (Remark 1).
 //
-// On cancellation or budget exhaustion before either lane finishes, the
-// heuristic incumbent (or the best incumbent of the branch-and-bound
-// lane, whichever is better) is returned alongside the error, so callers
-// degrade to a valid — merely unproven — ordering instead of nothing.
+//   - The work-stealing DP engine (OptimalOrderingParallel, under the
+//     caller's Workers/ShardBits/Pinned schedule) runs at every n.
+//   - Branch-and-bound, seeded one above the heuristic phase's cost,
+//     runs instead only when Budget.MaxCells is below PeakCellsBound(n):
+//     the DP cannot finish there, while the search holds only one DFS
+//     path of tables, about 2^(n+1) cells.
+//
+// The result of a nil error is exact — both engines are exact. On
+// cancellation or budget exhaustion the heuristic seeder runs (unless it
+// already seeded branch-and-bound) and its ordering, or
+// branch-and-bound's incumbent when better, comes back alongside the
+// error: a valid ordering whose optimality is not proven. The seeder
+// sees the caller's ctx, so after a deadline it stops at its first
+// check and the incumbent is usually its starting ordering.
 func Portfolio(ctx stdctx.Context, tt *truthtable.Table, opts *SolveOptions) (*Result, error) {
-	rule, tr := opts.rule(), opts.trace()
-	budget := opts.budget()
-	n := tt.NumVars()
+	var o SolveOptions
+	if opts != nil {
+		o = *opts
+	}
+	if o.Meter == nil {
+		o.Meter = &Meter{} // the lane histograms need the engine's counts
+	}
+	m := o.Meter
+
+	engine := "parallel"
+	if o.Budget.MaxCells > 0 && o.Budget.MaxCells < PeakCellsBound(tt.NumVars()) {
+		engine = "bnb"
+	}
+	var inc *Result
+	if engine == "bnb" {
+		inc = seed(ctx, tt, &o)
+	}
+
+	cells0 := m.CellOps
 	start := time.Now()
-	sp := obs.SpanFromContext(ctx)
-
-	// Phase 1: heuristic seeding. Runs inline (it is polynomial-time and
-	// brief next to the exact lanes) but under ctx, so a short deadline
-	// still yields a best-so-far incumbent.
-	seeder := DefaultSeeder
-	if opts != nil && opts.Seeder != nil {
-		seeder = opts.Seeder
-	}
-	var (
-		incOrder truthtable.Ordering
-		incCost  uint64
-		haveInc  bool
-	)
-	if seeder != nil {
-		if tr != nil {
-			tr.Emit(obs.Event{Kind: obs.KindLaneStart, Lane: "heuristic"})
+	var res *Result
+	var err error
+	if engine == "bnb" {
+		bo := &BnBOptions{Rule: o.Rule, Meter: m, Trace: o.Trace, Budget: o.Budget}
+		if inc != nil {
+			// One above the incumbent, so an optimal incumbent is still
+			// rediscovered (and thereby proven) rather than pruned away.
+			bo.InitialBound = inc.MinCost + 1
 		}
-		if sp != nil {
-			sp.Event("lane_start:heuristic")
-		}
-		heurStart := time.Now()
-		incOrder, incCost, haveInc = seeder(ctx, tt, rule, tr)
-		if sp != nil {
-			sp.Event("lane_result:heuristic")
-		}
-		if tr != nil {
-			ev := obs.Event{Kind: obs.KindLaneResult, Lane: "heuristic", Elapsed: time.Since(heurStart)}
-			if haveInc {
-				ev.Cost = incCost
-			}
-			tr.Emit(ev)
-		}
+		res, err = BranchAndBoundCtx(ctx, tt, bo)
+	} else {
+		res, err = OptimalOrderingParallel(ctx, tt, &o)
 	}
-	incumbent := func() *Result {
-		if !haveInc {
-			return nil
+	elapsed := time.Since(start)
+	obs.Hist(obs.HistNameLaneWall, "lane", engine).RecordDuration(elapsed)
+	obs.Hist(obs.HistNameLaneCells, "lane", engine).Record(m.CellOps - cells0)
+	obs.Hist(obs.HistNameLanePeak, "lane", engine).Record(m.PeakCells)
+	if o.Trace != nil {
+		ev := obs.Event{Kind: obs.KindLaneResult, Lane: engine, Elapsed: elapsed}
+		if res != nil {
+			ev.Cost = res.MinCost
 		}
-		return finishResult(tt, nil, incOrder, incCost, rule, nil)
+		o.Trace.Emit(ev)
 	}
-	if ctx != nil && ctx.Err() != nil {
-		return incumbent(), fmt.Errorf("%w: %v", ErrCanceled, ctx.Err())
+	if err == nil {
+		return res, nil
 	}
-
-	// Phase 2: race the exact lanes. Each lane gets a private meter (so
-	// worker accounting never races) and the same per-lane budget; the
-	// first successful finisher cancels the other.
-	raceCtx, cancel := stdctx.WithCancel(ctxOrBackground(ctx))
-	defer cancel()
-
-	dpName := "fs"
-	if n > parallelLaneThreshold {
-		dpName = "parallel"
+	if inc == nil {
+		inc = seed(ctx, tt, &o)
 	}
-	lanes := []struct {
-		name string
-		run  func(stdctx.Context, *Meter) (*Result, error)
-	}{
-		{dpName, func(c stdctx.Context, m *Meter) (*Result, error) {
-			laneOpts := &SolveOptions{
-				Rule: rule, Meter: m, Trace: tr, Budget: budget,
-				Workers: opts.workers(), ShardBits: opts.shardBits(), Pinned: opts.pinnedSchedule(),
-			}
-			if dpName == "parallel" {
-				return OptimalOrderingParallel(c, tt, laneOpts)
-			}
-			return OptimalOrderingCtx(c, tt, laneOpts)
-		}},
-		{"bnb", func(c stdctx.Context, m *Meter) (*Result, error) {
-			o := &BnBOptions{Rule: rule, Meter: m, Trace: tr, Budget: budget}
-			if haveInc {
-				// Seed one above the incumbent so a truly-optimal
-				// incumbent is still rediscovered (and thereby proven)
-				// rather than pruned away.
-				o.InitialBound = incCost + 1
-			}
-			return BranchAndBoundCtx(c, tt, o)
-		}},
+	if res == nil || (inc != nil && inc.MinCost < res.MinCost) {
+		res = inc
 	}
-
-	results := make(chan laneOutcome, len(lanes))
-	for _, lane := range lanes {
-		lane := lane
-		if tr != nil {
-			tr.Emit(obs.Event{Kind: obs.KindLaneStart, Lane: lane.name})
-		}
-		if sp != nil {
-			sp.Event("lane_start:" + lane.name)
-		}
-		// Each lane goroutine runs under pprof labels so a CPU profile of
-		// a racing process attributes samples to the lane's solver, problem
-		// size and rule rather than one undifferentiated Portfolio frame.
-		labels := pprof.Labels("solver", lane.name, "n", strconv.Itoa(n), "rule", rule.String())
-		go pprof.Do(raceCtx, labels, func(c stdctx.Context) {
-			m := &Meter{}
-			laneStart := time.Now()
-			res, err := lane.run(c, m)
-			results <- laneOutcome{name: lane.name, res: res, err: err, meter: m, elapsed: time.Since(laneStart)}
-		})
-	}
-
-	var winner, loserInc *laneOutcome
-	var firstErr error
-	outcomes := make([]laneOutcome, 0, len(lanes))
-	for range lanes {
-		out := <-results
-		outcomes = append(outcomes, out)
-		// Per-lane distributions, recorded unconditionally (once per lane
-		// per race — negligible next to the lane itself): wall time, cells
-		// touched, and the lane's peak live-cell footprint.
-		obs.Hist(obs.HistNameLaneWall, "lane", out.name).RecordDuration(out.elapsed)
-		obs.Hist(obs.HistNameLaneCells, "lane", out.name).Record(out.meter.CellOps)
-		obs.Hist(obs.HistNameLanePeak, "lane", out.name).Record(out.meter.PeakCells)
-		if sp != nil {
-			sp.Event("lane_done:" + out.name)
-		}
-		// A lane that died without a result (typically: canceled after the
-		// race was decided) emits only lane_canceled below, not a
-		// misleading zero-cost lane_result.
-		if tr != nil && (out.err == nil || out.res != nil) {
-			tr.Emit(obs.Event{Kind: obs.KindLaneResult, Lane: out.name, Cost: out.res.MinCost, Elapsed: out.elapsed})
-		}
-		switch {
-		case out.err == nil:
-			if winner == nil {
-				w := out
-				winner = &w
-				if tr != nil {
-					tr.Emit(obs.Event{Kind: obs.KindRaceWon, Lane: out.name, Cost: out.res.MinCost, Elapsed: time.Since(start)})
-				}
-				if sp != nil {
-					sp.Event("race_won:" + out.name)
-				}
-				cancel()
-			}
-		default:
-			if firstErr == nil {
-				firstErr = out.err
-			}
-			if out.res != nil && (loserInc == nil || out.res.MinCost < loserInc.res.MinCost) {
-				l := out
-				loserInc = &l
-			}
-			if winner != nil && tr != nil {
-				tr.Emit(obs.Event{Kind: obs.KindLaneCanceled, Lane: out.name})
-			}
-		}
-	}
-
-	// All lanes have joined; merging their private meters into the
-	// caller's is now race-free.
-	if m := opts.meter(); m != nil {
-		for _, out := range outcomes {
-			m.CellOps += out.meter.CellOps
-			m.Compactions += out.meter.Compactions
-			m.Evaluations += out.meter.Evaluations
-			// Each lane frees everything it owns on both paths, so lane
-			// LiveCells is 0 here; fold the lane's peak into the
-			// caller's as if the lane had run on the caller's meter.
-			if p := m.LiveCells + out.meter.PeakCells; p > m.PeakCells {
-				m.PeakCells = p
-			}
-			m.LiveCells += out.meter.LiveCells
-		}
-	}
-
-	if winner != nil {
-		return winner.res, nil
-	}
-	// No lane finished: degrade to the best incumbent available — the
-	// branch-and-bound lane's (exact search, so at least as good as its
-	// seed) or the heuristic's.
-	best := incumbent()
-	if loserInc != nil && (best == nil || loserInc.res.MinCost < best.MinCost) {
-		best = loserInc.res
-	}
-	return best, firstErr
+	return res, err
 }
 
-// ctxOrBackground keeps nil-context callers working with the stdlib
-// context tree (WithCancel panics on nil).
-func ctxOrBackground(ctx stdctx.Context) stdctx.Context {
-	if ctx == nil {
-		return stdctx.Background() //lint:allow ctxcheckpoint sanctioned nil-context shim: WithCancel panics on nil, legacy callers pass nil
+// seed runs the heuristic phase (o.Seeder, else DefaultSeeder) and
+// returns its ordering as a Result, or nil when no seeder is installed or
+// it produced nothing.
+func seed(ctx stdctx.Context, tt *truthtable.Table, o *SolveOptions) *Result {
+	seeder := o.Seeder
+	if seeder == nil {
+		seeder = DefaultSeeder
 	}
-	return ctx
+	if seeder == nil {
+		return nil
+	}
+	start := time.Now()
+	order, cost, ok := seeder(ctx, tt, o.Rule, o.Trace)
+	if o.Trace != nil {
+		ev := obs.Event{Kind: obs.KindLaneResult, Lane: "heuristic", Elapsed: time.Since(start)}
+		if ok {
+			ev.Cost = cost
+		}
+		o.Trace.Emit(ev)
+	}
+	if !ok {
+		return nil
+	}
+	return finishResult(tt, nil, order, cost, o.Rule, nil)
 }

@@ -9,6 +9,7 @@ import (
 	stdctx "context"
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -42,12 +43,127 @@ func TestPortfolioMatchesDP(t *testing.T) {
 	}
 }
 
+// TestPortfolioMatchesParallel pins the dispatch: with no cell budget the
+// portfolio is the work-stealing DP engine, so on random functions of up
+// to 12 variables, under both rules and under the caller's schedule, its
+// result — cost, ordering, profile — is bit-identical to parallel's.
+func TestPortfolioMatchesParallel(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for _, rule := range []core.Rule{core.OBDD, core.ZDD} {
+		for n := 1; n <= 12; n++ {
+			tt := truthtable.Random(n, rng)
+			opts := &core.SolveOptions{Rule: rule, Workers: 1 + n%3, ShardBits: n % 3}
+			want, err := core.OptimalOrderingParallel(stdctx.Background(), tt, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := core.Portfolio(stdctx.Background(), tt, opts)
+			if err != nil {
+				t.Fatalf("rule %v n=%d: %v", rule, n, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("rule %v n=%d: portfolio %+v, parallel %+v", rule, n, got, want)
+			}
+		}
+	}
+}
+
+// TestPortfolioCellBudgetRunsBnB pins the one branch off the DP: a
+// MaxCells one below Remark 1's closed-form peak rules the DP out, so the
+// portfolio seeds branch-and-bound with the heuristic phase and returns
+// the fs optimum, proven. At the peak itself the dispatch picks the DP
+// engine, whose three-layer window may still overrun the budget.
+func TestPortfolioCellBudgetRunsBnB(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for _, rule := range []core.Rule{core.OBDD, core.ZDD} {
+		for _, n := range []int{5, 8, 10} {
+			tt := truthtable.Random(n, rng)
+			want := core.OptimalOrdering(tt, &core.SolveOptions{Rule: rule})
+			peak := core.PeakCellsBound(n)
+
+			rec := obs.NewRecorder()
+			m := &core.Meter{}
+			got, err := core.Portfolio(stdctx.Background(), tt, &core.SolveOptions{
+				Rule: rule, Meter: m, Trace: rec, Budget: core.Budget{MaxCells: peak - 1},
+			})
+			if err != nil {
+				t.Fatalf("rule %v n=%d MaxCells=%d: %v", rule, n, peak-1, err)
+			}
+			if got.MinCost != want.MinCost {
+				t.Errorf("rule %v n=%d: bnb dispatch cost %d, fs optimum %d", rule, n, got.MinCost, want.MinCost)
+			}
+			if lanes := laneResults(rec); len(lanes) != 2 || lanes[0].Lane != "heuristic" || lanes[1].Lane != "bnb" {
+				t.Errorf("rule %v n=%d: lane_result events %+v, want heuristic then bnb", rule, n, lanes)
+			}
+			if m.PeakCells > peak-1 {
+				t.Errorf("rule %v n=%d: bnb peaked at %d cells over a %d budget", rule, n, m.PeakCells, peak-1)
+			}
+
+			rec = obs.NewRecorder()
+			_, _ = core.Portfolio(stdctx.Background(), tt, &core.SolveOptions{Rule: rule, Trace: rec, Budget: core.Budget{MaxCells: peak}})
+			if lanes := laneResults(rec); len(lanes) == 0 || lanes[0].Lane != "parallel" {
+				t.Errorf("rule %v n=%d MaxCells at the peak: lane_result events %+v, want parallel first", rule, n, lanes)
+			}
+		}
+	}
+}
+
+// TestPortfolioEarlyStopIncumbent pins the early-stop contract on both
+// branches: a node-budget or deadline stop runs the seeder and returns
+// its valid, unproven ordering (or branch-and-bound's, when better)
+// alongside the error, with every metered cell released.
+func TestPortfolioEarlyStopIncumbent(t *testing.T) {
+	const n = 10
+	tt := truthtable.Random(n, rand.New(rand.NewSource(41)))
+	expired, cancel := stdctx.WithDeadline(stdctx.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	small := core.PeakCellsBound(n) / 2
+	for _, tc := range []struct {
+		name   string
+		ctx    stdctx.Context
+		budget core.Budget
+		want   error
+		lanes  []string
+	}{
+		{"parallel/max-nodes", stdctx.Background(), core.Budget{MaxNodes: 30}, core.ErrBudgetExceeded, []string{"parallel", "heuristic"}},
+		{"parallel/deadline", expired, core.Budget{}, core.ErrCanceled, []string{"parallel", "heuristic"}},
+		{"bnb/max-nodes", stdctx.Background(), core.Budget{MaxCells: small, MaxNodes: 30}, core.ErrBudgetExceeded, []string{"heuristic", "bnb"}},
+		{"bnb/deadline", expired, core.Budget{MaxCells: small}, core.ErrCanceled, []string{"heuristic", "bnb"}},
+	} {
+		rec := obs.NewRecorder()
+		m := &core.Meter{}
+		res, err := core.Portfolio(tc.ctx, tt, &core.SolveOptions{Meter: m, Trace: rec, Budget: tc.budget})
+		if !errors.Is(err, tc.want) {
+			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
+			continue
+		}
+		if res == nil || len(res.Ordering) != n || !res.Ordering.Valid() {
+			t.Errorf("%s: incumbent %+v, want a valid %d-variable ordering", tc.name, res, n)
+			continue
+		}
+		if got := core.SizeUnder(tt, res.Ordering, core.OBDD, nil); got != res.Size {
+			t.Errorf("%s: incumbent size %d but its ordering achieves %d", tc.name, res.Size, got)
+		}
+		if m.LiveCells != 0 {
+			t.Errorf("%s: LiveCells = %d after the stop, want 0", tc.name, m.LiveCells)
+		}
+		var lanes []string
+		for _, ev := range laneResults(rec) {
+			lanes = append(lanes, ev.Lane)
+		}
+		if !reflect.DeepEqual(lanes, tc.lanes) {
+			t.Errorf("%s: lane_result lanes %v, want %v", tc.name, lanes, tc.lanes)
+		}
+	}
+}
+
 // TestPortfolioDeadlineReturnsIncumbent is the acceptance deadline check:
-// on a function large enough that no exact lane can finish in 50ms, the
+// on a function large enough that the DP engine cannot finish in 50ms on
+// any machine (n = 18: 18·3^17 cell operations, seconds of work), the
 // portfolio returns ErrCanceled promptly, carrying the heuristic
 // incumbent — a valid ordering — instead of hanging.
 func TestPortfolioDeadlineReturnsIncumbent(t *testing.T) {
-	n := 14
+	n := 18
 	tt := truthtable.Random(n, rand.New(rand.NewSource(123)))
 	ctx, cancel := stdctx.WithTimeout(stdctx.Background(), 50*time.Millisecond)
 	defer cancel()
@@ -73,13 +189,15 @@ func TestPortfolioDeadlineReturnsIncumbent(t *testing.T) {
 		t.Errorf("portfolio took %v past a 50ms deadline", elapsed)
 	}
 	if m.LiveCells != 0 {
-		t.Errorf("LiveCells = %d after the race, want 0", m.LiveCells)
+		t.Errorf("LiveCells = %d after the stop, want 0", m.LiveCells)
 	}
 }
 
 // TestPortfolioTraceShowsWinner is the acceptance trace check: a
-// completed portfolio run emits lane_start events for every lane and
-// exactly one race_won naming an exact lane.
+// completed portfolio run emits exactly one lane_result, naming the DP
+// engine the dispatch chose and carrying the result's cost, after that
+// engine's layer events — no heuristic lane (the seeder runs only after
+// an early stop) and no race events.
 func TestPortfolioTraceShowsWinner(t *testing.T) {
 	tt := truthtable.Random(8, rand.New(rand.NewSource(5)))
 	rec := obs.NewRecorder()
@@ -87,32 +205,32 @@ func TestPortfolioTraceShowsWinner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Count(obs.KindLaneStart) < 3 {
-		t.Errorf("lane_start events = %d, want ≥ 3 (heuristic + 2 exact lanes)", rec.Count(obs.KindLaneStart))
+	lanes := laneResults(rec)
+	if len(lanes) != 1 {
+		t.Fatalf("lane_result events = %+v, want exactly 1", lanes)
 	}
-	var won []obs.Event
-	for _, ev := range rec.Events() {
-		if ev.Kind == obs.KindRaceWon {
-			won = append(won, ev)
-		}
+	if lanes[0].Lane != "parallel" {
+		t.Errorf("lane_result names %q, want the parallel DP engine", lanes[0].Lane)
 	}
-	if len(won) != 1 {
-		t.Fatalf("race_won events = %d, want exactly 1", len(won))
+	if lanes[0].Cost != res.MinCost {
+		t.Errorf("lane_result cost %d != result MinCost %d", lanes[0].Cost, res.MinCost)
 	}
-	if lane := won[0].Lane; lane != "fs" && lane != "parallel" && lane != "bnb" {
-		t.Errorf("race won by %q, want an exact lane", lane)
+	if rec.Count(obs.KindRaceWon) != 0 {
+		t.Errorf("race_won emitted %d times by a dispatch", rec.Count(obs.KindRaceWon))
 	}
-	if won[0].Cost != res.MinCost {
-		t.Errorf("race_won cost %d != result MinCost %d", won[0].Cost, res.MinCost)
+	events := rec.Events()
+	if rec.Count(obs.KindLayerEnd) != 8 || events[len(events)-1].Kind != obs.KindLaneResult {
+		t.Errorf("want 8 layer_end events followed by the lane_result, got %d layer_end, last %v",
+			rec.Count(obs.KindLayerEnd), events[len(events)-1].Kind)
 	}
 	// The collector folds the same stream into a portfolio report section.
 	col := obs.NewCollector()
-	for _, ev := range rec.Events() {
+	for _, ev := range events {
 		col.Emit(ev)
 	}
 	rep := col.Report()
-	if rep.Portfolio == nil || rep.Portfolio.Winner == "" {
-		t.Errorf("collector report has no portfolio winner: %+v", rep.Portfolio)
+	if rep.Portfolio == nil || len(rep.Portfolio.Lanes) != 1 || rep.Portfolio.Lanes[0].Lane != "parallel" {
+		t.Errorf("collector report portfolio section = %+v, want the one parallel lane", rep.Portfolio)
 	}
 }
 
@@ -130,6 +248,17 @@ func TestPortfolioBudget(t *testing.T) {
 	if len(res.Ordering) != 10 || !res.Ordering.Valid() {
 		t.Fatalf("incumbent ordering %v invalid", res.Ordering)
 	}
+}
+
+// laneResults returns the recorded lane_result events in order.
+func laneResults(rec *obs.Recorder) []obs.Event {
+	var out []obs.Event
+	for _, ev := range rec.Events() {
+		if ev.Kind == obs.KindLaneResult {
+			out = append(out, ev)
+		}
+	}
+	return out
 }
 
 // TestRegistryNames pins the public solver names.

@@ -285,7 +285,10 @@ func OptimalOrderingSharedCtx(ctx stdctx.Context, tts []*truthtable.Table, opts 
 // the layer barrier; MaxCells is checked after each layer's merge.
 func optimalOrderingSharedParallel(ctx stdctx.Context, tts []*truthtable.Table, opts *SolveOptions, workers int) (*SharedResult, error) {
 	rule, tr := opts.rule(), opts.trace()
-	m := meterFor(opts.meter(), opts.budget())
+	m := opts.meter()
+	if m == nil {
+		m = &Meter{} // the workspace cap below keeps the run's metered peak
+	}
 	lim := newLimiter(ctx, opts.budget(), m)
 	obs.Metrics.RunsStarted.Inc()
 	obs.Metrics.WorkerSpawns.Add(uint64(workers))
@@ -295,11 +298,7 @@ func optimalOrderingSharedParallel(ctx stdctx.Context, tts []*truthtable.Table, 
 	for w := range wss {
 		wss[w] = acquireWorkspace()
 	}
-	defer func() {
-		for _, ws := range wss {
-			ws.release()
-		}
-	}()
+	defer func() { releaseCapped(wss, m.PeakCells) }()
 
 	base := baseSharedContext(tts)
 	m.alloc(base.cells())
@@ -414,15 +413,13 @@ func optimalOrderingSharedParallel(ctx stdctx.Context, tts []*truthtable.Table, 
 			layerOps += lm.CellOps
 			layerCompactions += lm.Compactions
 		}
-		if m != nil {
-			for _, lm := range meters {
-				m.CellOps += lm.CellOps
-				m.Compactions += lm.Compactions
-				m.Evaluations += lm.Evaluations
-			}
-			m.alloc(layerCells)
-			m.free(layerCells - keptCells)
+		for _, lm := range meters {
+			m.CellOps += lm.CellOps
+			m.Compactions += lm.Compactions
+			m.Evaluations += lm.Evaluations
 		}
+		m.alloc(layerCells)
+		m.free(layerCells - keptCells)
 		releaseLayer(layer)
 		layer = next
 		obs.Metrics.CellOps.Add(layerOps)
@@ -436,17 +433,15 @@ func optimalOrderingSharedParallel(ctx stdctx.Context, tts []*truthtable.Table, 
 			return nil, err
 		}
 		if tr != nil {
-			ev := obs.Event{
-				Kind:    obs.KindLayerEnd,
-				K:       k,
-				Subsets: len(next),
-				CellOps: layerOps,
-				Elapsed: time.Since(layerStart),
-			}
-			if m != nil {
-				ev.LiveCells, ev.PeakCells = m.LiveCells, m.PeakCells
-			}
-			tr.Emit(ev)
+			tr.Emit(obs.Event{
+				Kind:      obs.KindLayerEnd,
+				K:         k,
+				Subsets:   len(next),
+				CellOps:   layerOps,
+				Elapsed:   time.Since(layerStart),
+				LiveCells: m.LiveCells,
+				PeakCells: m.PeakCells,
+			})
 		}
 	}
 

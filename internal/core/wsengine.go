@@ -724,7 +724,7 @@ func countWidth(src []uint32, pos uint, rule Rule, labels []uint32, seen []uint3
 
 // releaseAll frees every engine-owned table still live (abort path, or
 // the normal path after the final table is consumed) and returns the
-// workers' workspaces to the pool.
+// workers' workspaces to the pool, capped at the run's peak cells.
 func (e *wsEngine) releaseAll() {
 	ar := e.workers[0].ws.ar
 	for j := 1; j <= e.n; j++ {
@@ -737,10 +737,11 @@ func (e *wsEngine) releaseAll() {
 			}
 		}
 	}
-	for _, wk := range e.workers {
-		wk.ws.release()
-		wk.ws = nil
+	wss := make([]*workspace, len(e.workers))
+	for w, wk := range e.workers {
+		wss[w], wk.ws = wk.ws, nil
 	}
+	releaseCapped(wss, uint64(e.peak.Load()))
 }
 
 // OptimalOrderingParallel runs the Friedman–Supowit dynamic program on

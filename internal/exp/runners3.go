@@ -172,7 +172,7 @@ func E13(w io.Writer, cfg Config) error {
 
 // E14 verifies the space accounting of Remark 1: the DP's peak live table
 // cells match the analytic two-layer bound max_k [C(n,k)·2^{n−k} +
-// C(n,k−1)·2^{n−k+1}] up to the base table.
+// C(n,k−1)·2^{n−k+1}] plus the base table (core.PeakCellsBound).
 func E14(w io.Writer, cfg Config) error {
 	minN, maxN := 6, 13
 	if cfg.Quick {
@@ -184,14 +184,7 @@ func E14(w io.Writer, cfg Config) error {
 		f := truthtable.Random(n, rng)
 		m := &core.Meter{}
 		core.OptimalOrdering(f, core.NewSolveOptions(core.WithMeter(m)))
-		var bound uint64
-		for k := 1; k <= n; k++ {
-			v := bitops.Binomial(n, k)<<uint(n-k) + bitops.Binomial(n, k-1)<<uint(n-k+1)
-			if v > bound {
-				bound = v
-			}
-		}
-		bound += 1 << uint(n) // the base truth-table context
+		bound := core.PeakCellsBound(n)
 		fmt.Fprintf(w, "%3d %14d %14d %8.3f\n", n, m.PeakCells, bound, float64(m.PeakCells)/float64(bound))
 		if m.PeakCells > 2*bound {
 			return fmt.Errorf("E14: peak cells exceed twice the analytic bound at n=%d", n)

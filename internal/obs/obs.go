@@ -78,19 +78,17 @@ const (
 	// Evals is the candidate-set size, Queries the metered quantum oracle
 	// queries, Cost the found minimum.
 	KindQuantumBatch
-	// KindLaneStart marks a portfolio lane starting: Lane names the lane
-	// ("heuristic", or a registered solver name like "fs" / "bnb").
-	KindLaneStart
-	// KindLaneResult marks a lane finishing on its own: Lane names it,
-	// Cost carries the cost it achieved (when it produced a result) and
-	// Elapsed its wall-clock time. A lane that failed carries no Cost.
+	// KindLaneResult marks one engine of the portfolio finishing: Lane
+	// names it ("heuristic", or the registered solver the portfolio
+	// dispatched to, "parallel" or "bnb"), Cost carries the cost it
+	// achieved (when it produced a result) and Elapsed its wall-clock
+	// time. An engine stopped without a result carries no Cost.
 	KindLaneResult
-	// KindRaceWon marks the portfolio race deciding: Lane is the winning
-	// lane, Cost the proven-optimal cost, Elapsed the race duration.
+	// KindRaceWon marked the portfolio's race deciding (Lane the winner,
+	// Cost the optimum, Elapsed the race). The portfolio now dispatches
+	// instead of racing and nothing emits it; the kind stays so that
+	// trace consumers that still count it keep compiling.
 	KindRaceWon
-	// KindLaneCanceled marks a losing lane being canceled after the race
-	// was decided: Lane names the canceled lane.
-	KindLaneCanceled
 )
 
 var kindNames = [...]string{
@@ -107,10 +105,8 @@ var kindNames = [...]string{
 	KindHeurPass:          "heur_pass",
 	KindHeurSwap:          "heur_swap",
 	KindQuantumBatch:      "quantum_batch",
-	KindLaneStart:         "lane_start",
 	KindLaneResult:        "lane_result",
 	KindRaceWon:           "race_won",
-	KindLaneCanceled:      "lane_canceled",
 }
 
 // String returns the snake_case event name used in JSON reports.

@@ -12,13 +12,13 @@ import (
 // `core.Meter` / `core.Result` (or shared/heuristic equivalents) of the
 // run, which carry their own JSON tags.
 type RunReport struct {
-	Tool      string          `json:"tool,omitempty"`
-	Algorithm string          `json:"algorithm,omitempty"`
-	Rule      string          `json:"rule,omitempty"`
+	Tool      string `json:"tool,omitempty"`
+	Algorithm string `json:"algorithm,omitempty"`
+	Rule      string `json:"rule,omitempty"`
 	// RequestID is the request/trace ID of the run's span — minted by
 	// Solve, or accepted from the X-Request-ID wire header by obddd —
 	// and Span its phase timeline (admission, queue, cache, solver
-	// lanes). See internal/obs span.go.
+	// start/done). See internal/obs span.go.
 	RequestID string          `json:"request_id,omitempty"`
 	Span      []SpanEvent     `json:"span,omitempty"`
 	N         int             `json:"n,omitempty"`
@@ -79,20 +79,16 @@ type QuantStats struct {
 	Queries     float64 `json:"queries"`
 }
 
-// LaneStat summarizes one portfolio lane.
+// LaneStat summarizes one portfolio lane: an engine the portfolio ran.
 type LaneStat struct {
 	Lane      string  `json:"lane"`
 	Cost      uint64  `json:"cost,omitempty"`
-	Canceled  bool    `json:"canceled,omitempty"`
 	ElapsedMS float64 `json:"elapsed_ms,omitempty"`
 }
 
-// PortfolioStats aggregates portfolio race events.
+// PortfolioStats aggregates portfolio lane events.
 type PortfolioStats struct {
-	Lanes   []LaneStat `json:"lanes,omitempty"`
-	Winner  string     `json:"winner,omitempty"`
-	WonCost uint64     `json:"won_cost,omitempty"`
-	RaceMS  float64    `json:"race_ms,omitempty"`
+	Lanes []LaneStat `json:"lanes,omitempty"`
 }
 
 // Collector is a Tracer that folds the event stream into a RunReport as
@@ -171,8 +167,6 @@ func (c *Collector) Emit(ev Event) {
 		c.quant.Batches++
 		c.quant.OracleEvals += ev.Evals
 		c.quant.Queries += ev.Queries
-	case KindLaneStart:
-		c.hasPort = true
 	case KindLaneResult:
 		c.hasPort = true
 		c.port.Lanes = append(c.port.Lanes, LaneStat{
@@ -180,14 +174,6 @@ func (c *Collector) Emit(ev Event) {
 			Cost:      ev.Cost,
 			ElapsedMS: float64(ev.Elapsed) / float64(time.Millisecond),
 		})
-	case KindLaneCanceled:
-		c.hasPort = true
-		c.port.Lanes = append(c.port.Lanes, LaneStat{Lane: ev.Lane, Canceled: true})
-	case KindRaceWon:
-		c.hasPort = true
-		c.port.Winner = ev.Lane
-		c.port.WonCost = ev.Cost
-		c.port.RaceMS = float64(ev.Elapsed) / float64(time.Millisecond)
 	}
 }
 

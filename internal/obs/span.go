@@ -13,7 +13,7 @@ import (
 // This file is the request-scoped tracing side of the package: a Span
 // carries one request's identity (the trace/request ID minted in Solve
 // or accepted from the X-Request-ID wire header) and its phase
-// timeline — admission, queue wait, cache outcome, solver lanes — as a
+// timeline — admission, queue wait, cache outcome, solver start/done — as a
 // flat list of named, monotonically timestamped events. Spans travel
 // through context.Context, so the solver stack annotates them without
 // new parameters, and they serialize into the RunReport schema so the
@@ -21,7 +21,7 @@ import (
 // same story about one request.
 
 // SpanEvent is one phase marker: Name identifies the phase (e.g.
-// "worker_acquired", "lane_start:fs") and AtNS is its offset from the
+// "worker_acquired", "solver_start:fs") and AtNS is its offset from the
 // span's start in nanoseconds.
 type SpanEvent struct {
 	Name string `json:"name"`

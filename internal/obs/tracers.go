@@ -87,7 +87,7 @@ func NewProgress(w io.Writer) *Progress {
 func (p *Progress) Emit(ev Event) {
 	switch ev.Kind {
 	case KindLayerEnd, KindBnBBest, KindDnCSplit, KindDnCMerge, KindHeurPass, KindQuantumBatch,
-		KindLaneStart, KindLaneResult, KindRaceWon, KindLaneCanceled:
+		KindLaneResult:
 	default:
 		return
 	}
@@ -112,15 +112,13 @@ func (p *Progress) Emit(ev Event) {
 	case KindQuantumBatch:
 		fmt.Fprintf(p.w, "[%8s] quantum: min over %d candidates, %.1f metered queries, min cost %d\n",
 			since, ev.Evals, ev.Queries, ev.Cost)
-	case KindLaneStart:
-		fmt.Fprintf(p.w, "[%8s] portfolio: lane %q started\n", since, ev.Lane)
 	case KindLaneResult:
-		fmt.Fprintf(p.w, "[%8s] portfolio: lane %q finished, cost %d in %s\n",
-			since, ev.Lane, ev.Cost, ev.Elapsed.Round(time.Microsecond))
-	case KindRaceWon:
-		fmt.Fprintf(p.w, "[%8s] portfolio: lane %q won the race, optimal cost %d\n",
-			since, ev.Lane, ev.Cost)
-	case KindLaneCanceled:
-		fmt.Fprintf(p.w, "[%8s] portfolio: lane %q canceled\n", since, ev.Lane)
+		// A lane stopped without a result carries no Cost.
+		cost := ""
+		if ev.Cost > 0 {
+			cost = fmt.Sprintf(", cost %d", ev.Cost)
+		}
+		fmt.Fprintf(p.w, "[%8s] portfolio: lane %q returned after %s%s\n",
+			since, ev.Lane, ev.Elapsed.Round(time.Microsecond), cost)
 	}
 }

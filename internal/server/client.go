@@ -48,7 +48,11 @@ func (c *Client) hasFeature(name string) bool {
 // Params configures one remote solve; the zero value requests the
 // portfolio solver on OBDDs under the server's default limits.
 type Params struct {
-	// Solver names the strategy; empty selects the portfolio.
+	// Solver names the strategy; empty selects the portfolio, which runs
+	// the parallel dynamic program, or seeded branch-and-bound when
+	// Budget.MaxCells is below the DP's closed-form peak. On a deadline
+	// stop its incumbent is the heuristic seeder's, which sees the same
+	// expired deadline and usually returns its starting ordering.
 	Solver string
 	// Rule selects the diagram variant (OBDD or ZDD).
 	Rule core.Rule
@@ -57,7 +61,8 @@ type Params struct {
 	Deadline time.Duration
 	// Budget bounds the solve's resources (clamped by the server).
 	Budget core.Budget
-	// Workers is the goroutine count for parallel lanes.
+	// Workers is the goroutine count of the parallel DP (the portfolio's
+	// included).
 	Workers int
 	// NoCache bypasses the server's canonical result cache.
 	NoCache bool

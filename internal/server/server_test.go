@@ -410,7 +410,8 @@ func TestDrainCancelsInFlight(t *testing.T) {
 // a deadline-stopped portfolio solve still returns an incumbent.
 func TestDeadlineCapAndDegradation(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxDeadline: 80 * time.Millisecond})
-	tt := truthtable.Random(16, rand.New(rand.NewSource(11)))
+	// n = 18: seconds of DP work, so the 80ms cap stops it on any machine.
+	tt := truthtable.Random(18, rand.New(rand.NewSource(11)))
 	start := time.Now()
 	resp, hr := postSolve(t, ts.URL, &SolveRequest{
 		Table:      tt.Hex(),
@@ -425,8 +426,8 @@ func TestDeadlineCapAndDegradation(t *testing.T) {
 	if resp.Error == nil || resp.Error.Code != CodeCanceled {
 		t.Fatalf("error = %+v, want canceled (deadline clamped)", resp.Error)
 	}
-	if resp.Result == nil || len(resp.Result.Ordering) != 16 {
-		t.Errorf("degraded result = %+v, want a 16-variable incumbent", resp.Result)
+	if resp.Result == nil || len(resp.Result.Ordering) != 18 {
+		t.Errorf("degraded result = %+v, want an 18-variable incumbent", resp.Result)
 	}
 	if elapsed > 5*time.Second {
 		t.Errorf("request took %v; the 80ms cap did not bite", elapsed)
@@ -450,7 +451,9 @@ func TestBudgetCap(t *testing.T) {
 // be served as a canonical cached result.
 func TestEarlyStopNotCached(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
-	tt := truthtable.Random(16, rand.New(rand.NewSource(23)))
+	// n = 18: seconds of DP work, so the 50ms deadline stops it on any
+	// machine.
+	tt := truthtable.Random(18, rand.New(rand.NewSource(23)))
 	resp, _ := postSolve(t, ts.URL, &SolveRequest{Table: tt.Hex(), Solver: "portfolio", DeadlineMS: 50})
 	if resp.Error == nil || resp.Error.Code != CodeCanceled {
 		t.Fatalf("expected a canceled first solve, got %+v", resp)

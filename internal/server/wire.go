@@ -40,8 +40,8 @@ type SolveRequest struct {
 	// search-node expansions); 0 is unlimited up to the server's caps.
 	MaxCells uint64 `json:"max_cells,omitempty"`
 	MaxNodes uint64 `json:"max_nodes,omitempty"`
-	// Workers is the goroutine count for parallel lanes; 0 selects
-	// GOMAXPROCS.
+	// Workers is the goroutine count of the parallel DP (the portfolio's
+	// included); 0 selects GOMAXPROCS.
 	Workers int `json:"workers,omitempty"`
 	// NoCache bypasses the canonical result cache for this request
 	// (the fresh result still populates it).

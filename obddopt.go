@@ -18,9 +18,11 @@
 //	}
 //	fmt.Println(res.Size, res.Ordering) // 8 (x1, x2, x3, x4, x5, x6)
 //
-// Solve races the exact solvers behind a heuristic seed (the portfolio)
-// and honors context cancellation, deadlines (WithDeadline) and resource
-// budgets (WithBudget); WithSolver selects a single strategy. The same
+// Solve runs the portfolio by default — the parallel dynamic program, or
+// seeded branch-and-bound when the cell budget is below the DP's
+// closed-form peak — and honors context cancellation, deadlines
+// (WithDeadline) and resource budgets (WithBudget); WithSolver selects a
+// single strategy. The same
 // engine is served over HTTP by cmd/obddd — Dial returns a Client whose
 // Solve keeps this exact error contract across the wire.
 //

@@ -15,9 +15,9 @@ import (
 // This file is the unified entry point of the package: one Solve call
 // behind which every solving strategy — the Friedman–Supowit dynamic
 // program, its parallel variant, branch-and-bound, divide-and-conquer,
-// brute force, and the portfolio racing them — is selected by name,
-// configured by functional options, and supervised by a context deadline
-// and a resource budget.
+// brute force, and the portfolio dispatching between them — is selected
+// by name, configured by functional options, and supervised by a context
+// deadline and a resource budget.
 
 // Sentinel errors of the Solve API; test with errors.Is.
 var (
@@ -51,7 +51,9 @@ type solveConfig struct {
 
 // WithSolver selects the solving strategy by registered name: "fs" (the
 // serial dynamic program), "parallel", "bnb", "dnc", "brute" or
-// "portfolio" (the default). SolverNames lists what is available.
+// "portfolio" (the default: the parallel DP, or seeded branch-and-bound
+// when WithBudget's MaxCells is below the DP's closed-form peak).
+// SolverNames lists what is available.
 func WithSolver(name string) Option {
 	return func(c *solveConfig) { c.solver = name }
 }
@@ -77,15 +79,17 @@ func WithBudget(b Budget) Option {
 	return func(c *solveConfig) { c.opts.Budget = b }
 }
 
-// WithTrace attaches a Tracer to the run. The portfolio solver runs
-// lanes concurrently against one tracer, so the implementation must be
-// safe for concurrent Emit calls (all tracers in this package are).
+// WithTrace attaches a Tracer to the run. The parallel DP's workers
+// emit layer events from their own goroutines, so the implementation
+// must be safe for concurrent Emit calls (all tracers in this package
+// are). The portfolio adds one lane_result event naming the engine it
+// ran, and one for the heuristic phase when that ran.
 func WithTrace(tr Tracer) Option {
 	return func(c *solveConfig) { c.opts.Trace = tr }
 }
 
 // WithMeter attaches a Meter accumulating the run's operation counts.
-// The portfolio merges its lanes' private meters into it after the race.
+// The portfolio passes it to the engine it dispatches to.
 func WithMeter(m *Meter) Option {
 	return func(c *solveConfig) { c.opts.Meter = m }
 }
@@ -112,9 +116,9 @@ type Schedule struct {
 
 // WithSchedule configures the parallel scheduler: worker count, shard
 // granularity, and stealing. It applies to the "parallel" solver, to the
-// portfolio's DP lane, and to SolveShared's worker pool (which uses the
-// schedule's Workers; shard granularity and pinning only affect the
-// work-stealing single-function engine).
+// portfolio (which runs that engine), and to SolveShared's worker pool
+// (which uses the schedule's Workers; shard granularity and pinning only
+// affect the work-stealing single-function engine).
 func WithSchedule(s Schedule) Option {
 	return func(c *solveConfig) {
 		c.opts.Workers = s.Workers
@@ -123,8 +127,8 @@ func WithSchedule(s Schedule) Option {
 	}
 }
 
-// WithWorkers sets the goroutine count of the parallel lanes; 0 (the
-// default) selects GOMAXPROCS.
+// WithWorkers sets the goroutine count of the parallel DP (the
+// portfolio's included); 0 (the default) selects GOMAXPROCS.
 //
 // Deprecated: Use WithSchedule(Schedule{Workers: n}), which also exposes
 // shard granularity and pinning. WithWorkers remains as a shim and sets
@@ -149,16 +153,21 @@ func NewTableChecked(n int) (*Table, error) {
 }
 
 // Solve finds an optimal variable ordering for tt under the configured
-// strategy. With no options it runs the portfolio solver on OBDDs: a
-// heuristic phase (sifting, then simulated annealing) seeds a race
-// between the Friedman–Supowit dynamic program and branch-and-bound, and
-// the first lane to prove optimality wins.
+// strategy. With no options it runs the portfolio solver on OBDDs: the
+// work-stealing Friedman–Supowit dynamic program, whose work (Theorem 5)
+// and peak space (Remark 1) are known before it starts. Only when
+// WithBudget's MaxCells is below that peak does it run branch-and-bound
+// instead, seeded by a heuristic phase (sifting, then simulated
+// annealing).
 //
 // A nil error guarantees Result.MinCost is the exact optimum. On
 // cancellation, deadline expiry or budget exhaustion, Solve returns
 // ErrCanceled / ErrBudgetExceeded — and, when the strategy holds one, a
 // non-nil *Result with the best incumbent found, so callers can degrade
-// to a valid (merely unproven) ordering:
+// to a valid (merely unproven) ordering. The portfolio always holds one:
+// after an early stop it runs the heuristic phase under the same
+// context, so after a deadline that phase stops at its first check and
+// the incumbent is usually its starting (identity) ordering:
 //
 //	res, err := obddopt.Solve(ctx, f,
 //	    obddopt.WithDeadline(100*time.Millisecond))

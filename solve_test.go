@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -203,15 +204,16 @@ func TestSolveInvalidInput(t *testing.T) {
 }
 
 // TestSolveDeadlineOption verifies WithDeadline cancels a large run and
-// the portfolio degrades to an incumbent.
+// the portfolio degrades to an incumbent. n = 18 is seconds of DP work,
+// so the 50ms deadline stops it on any machine.
 func TestSolveDeadlineOption(t *testing.T) {
-	tt := RandomTable(14, rand.New(rand.NewSource(9)))
+	tt := RandomTable(18, rand.New(rand.NewSource(9)))
 	res, err := Solve(context.Background(), tt, WithDeadline(50*time.Millisecond))
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
-	if res == nil || len(res.Ordering) != 14 {
-		t.Fatalf("res = %+v, want a 14-variable incumbent", res)
+	if res == nil || len(res.Ordering) != 18 {
+		t.Fatalf("res = %+v, want an 18-variable incumbent", res)
 	}
 }
 
@@ -249,9 +251,9 @@ func TestSolveSharedMatchesLegacy(t *testing.T) {
 }
 
 // TestSolveSpanInstrumentation checks the request-scoped span contract
-// of the facade: a caller-attached span collects solver phase events
-// (plus portfolio lane events when racing), a bare call mints its own
-// span without disturbing the caller, and the per-solver wall-time
+// of the facade: a caller-attached span collects the solver phase events,
+// the portfolio's dispatch shows as one lane_result event and one
+// lane_wall_ns{lane=parallel} observation, and the per-solver wall-time
 // histogram in the registry grows by one observation per call.
 func TestSolveSpanInstrumentation(t *testing.T) {
 	tt := RandomTable(6, rand.New(rand.NewSource(9)))
@@ -259,30 +261,32 @@ func TestSolveSpanInstrumentation(t *testing.T) {
 	sp := obs.NewSpan("test-span-1")
 	ctx := obs.ContextWithSpan(context.Background(), sp)
 	before := obs.Hist(obs.HistNameSolverWall, "solver", "portfolio").Count()
-	if _, err := Solve(ctx, tt); err != nil {
+	laneBefore := obs.Hist(obs.HistNameLaneWall, "lane", "parallel").Count()
+	rec := NewTraceRecorder()
+	res, err := Solve(ctx, tt, WithTrace(rec))
+	if err != nil {
 		t.Fatal(err)
 	}
 	if got := obs.Hist(obs.HistNameSolverWall, "solver", "portfolio").Count(); got != before+1 {
 		t.Errorf("solver_wall_ns{solver=portfolio} count = %d, want %d", got, before+1)
 	}
-	names := map[string]bool{}
+	var names []string
 	for _, ev := range sp.Events() {
-		names[ev.Name] = true
+		names = append(names, ev.Name)
 	}
-	for _, want := range []string{"solver_start:portfolio", "solver_done:portfolio", "race_won:fs", "race_won:bnb"} {
-		if want == "race_won:fs" || want == "race_won:bnb" {
-			continue // exactly one of the two is present, checked below
+	if want := []string{"solver_start:portfolio", "solver_done:portfolio"}; !reflect.DeepEqual(names, want) {
+		t.Errorf("span events %v, want %v", names, want)
+	}
+	var lanes []obs.Event
+	for _, ev := range rec.Events() {
+		if ev.Kind == obs.KindLaneResult {
+			lanes = append(lanes, ev)
 		}
-		if !names[want] {
-			t.Errorf("span missing event %q (have %v)", want, sp.Events())
-		}
 	}
-	if !names["race_won:fs"] && !names["race_won:bnb"] {
-		t.Errorf("span recorded no race winner: %v", sp.Events())
+	if len(lanes) != 1 || lanes[0].Lane != "parallel" || lanes[0].Cost != res.MinCost {
+		t.Errorf("lane_result events %+v, want one for parallel with cost %d", lanes, res.MinCost)
 	}
-
-	// Lane histograms grew too.
-	if obs.Hist(obs.HistNameLaneWall, "lane", "bnb").Count() == 0 {
-		t.Error("lane_wall_ns{lane=bnb} never recorded")
+	if got := obs.Hist(obs.HistNameLaneWall, "lane", "parallel").Count(); got != laneBefore+1 {
+		t.Errorf("lane_wall_ns{lane=parallel} count = %d, want %d", got, laneBefore+1)
 	}
 }
