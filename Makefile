@@ -119,12 +119,14 @@ serve-demo:
 	$(GO) run -race ./cmd/obddd -smoke
 
 # Short fuzzing sessions over the text-format parsers, the table
-# constructors, and the FS-vs-brute-force differential oracle.
+# constructors, the FS-vs-brute-force differential oracle, and the
+# shared-forest engine against the serial shared DP.
 fuzz:
 	$(GO) test -fuzz FuzzParse -fuzztime 30s ./internal/expr/
 	$(GO) test -fuzz FuzzParse -fuzztime 30s ./internal/pla/
 	$(GO) test -fuzz FuzzTruthTableNew -fuzztime 30s ./internal/truthtable/
 	$(GO) test -fuzz FuzzFSvsBrute -fuzztime 30s ./internal/core/
+	$(GO) test -fuzz FuzzSharedEngine -fuzztime 30s ./internal/core/
 	$(GO) test -fuzz FuzzArtifactRoundTrip -fuzztime 30s ./internal/artifact/
 	$(GO) test -fuzz FuzzSolveFacade -fuzztime 30s .
 
@@ -133,6 +135,7 @@ fuzz:
 fuzz-smoke:
 	$(GO) test -fuzz FuzzTruthTableNew -fuzztime 10s ./internal/truthtable/
 	$(GO) test -fuzz FuzzFSvsBrute -fuzztime 10s ./internal/core/
+	$(GO) test -fuzz FuzzSharedEngine -fuzztime 10s ./internal/core/
 	$(GO) test -fuzz FuzzArtifactRoundTrip -fuzztime 10s ./internal/artifact/
 	$(GO) test -fuzz FuzzSolveFacade -fuzztime 10s .
 

@@ -261,7 +261,9 @@ func (c *config) run() error {
 	return nil
 }
 
-// runShared optimizes all outputs of a multi-output source jointly.
+// runShared optimizes all outputs of a multi-output source jointly, on
+// the work-stealing DP engine under the -workers / -shard-bits / -pinned
+// schedule.
 func (c *config) runShared() error {
 	var tts []*truthtable.Table
 	switch {
@@ -301,7 +303,9 @@ func (c *config) runShared() error {
 	ctx, cancel := c.flags.Context()
 	defer cancel()
 	start := time.Now()
-	res, err := core.OptimalOrderingSharedCtx(ctx, tts, core.NewSolveOptions(core.WithRule(rule), core.WithMeter(meter), core.WithTrace(tr), core.WithBudget(c.flags.Budget())))
+	opts := core.NewSolveOptions(core.WithRule(rule), core.WithMeter(meter), core.WithTrace(tr), core.WithBudget(c.flags.Budget()))
+	c.flags.Schedule(opts)
+	res, err := core.OptimalOrderingSharedParallel(ctx, tts, opts)
 	elapsed := time.Since(start)
 	if err != nil {
 		return err

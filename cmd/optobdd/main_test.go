@@ -3,12 +3,17 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
+	"obddopt/internal/core"
 	"obddopt/internal/obs"
+	"obddopt/internal/pla"
 )
 
 func writeTemp(t *testing.T, name, content string) string {
@@ -172,6 +177,38 @@ func TestRunSharedJSON(t *testing.T) {
 	}
 	if rep.Algorithm != "shared" || rep.N != 3 || len(rep.Layers) != 3 {
 		t.Errorf("shared report wrong: algo=%s n=%d layers=%d", rep.Algorithm, rep.N, len(rep.Layers))
+	}
+}
+
+// TestRunSharedSchedule runs -shared under an explicit schedule, which
+// the shared engine honors, and requires the serial shared DP's cost and
+// ordering on the fixture's outputs.
+func TestRunSharedSchedule(t *testing.T) {
+	pl := writeTemp(t, "adder.pla", adderPLA)
+	var out bytes.Buffer
+	c := cfg(func(c *config) { c.plaFile = pl; c.jsonOut = true; c.stdout = &out })
+	fs := flag.NewFlagSet("optobdd", flag.ContinueOnError)
+	c.flags.Register(fs, "")
+	if err := fs.Parse([]string{"-workers", "3", "-shard-bits", "1"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.runShared(); err != nil {
+		t.Fatalf("shared with a schedule: %v", err)
+	}
+	var rep struct {
+		Result core.SharedResult `json:"result"`
+	}
+	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
+		t.Fatalf("invalid JSON: %v\n%s", err, out.String())
+	}
+	p, err := pla.Parse(strings.NewReader(adderPLA))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := core.OptimalOrderingShared(p.Tables(), nil)
+	if rep.Result.MinCost != want.MinCost || !slices.Equal(rep.Result.Ordering, want.Ordering) {
+		t.Errorf("-shared -workers 3 -shard-bits 1: cost %d ordering %v, serial shared DP cost %d ordering %v",
+			rep.Result.MinCost, rep.Result.Ordering, want.MinCost, want.Ordering)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"obddopt/internal/artifact"
@@ -88,7 +89,7 @@ func Properties() []Property {
 		},
 		{
 			Name:  "shared-singleton",
-			Doc:   "SolveShared on the singleton {f} equals Solve on f (Lemmas 7/8: the shared DP restricted to one root is the plain DP)",
+			Doc:   "SolveShared on the singleton {f} equals Solve on f (Lemmas 7/8: the shared DP restricted to one root is the plain DP), and the shared engine SolveShared runs matches the serial shared DP's cost and ordering",
 			Rules: bothRules,
 			Check: checkSharedSingleton,
 		},
@@ -258,6 +259,16 @@ func checkSharedSingleton(ctx context.Context, solver string, tt *truthtable.Tab
 	sh, err := core.OptimalOrderingSharedCtx(ctx, []*truthtable.Table{tt}, core.NewSolveOptions(core.WithRule(rule)))
 	if err != nil {
 		return fmt.Errorf("shared solve failed: %w", err)
+	}
+	// SolveShared runs the engine entry, so hold it to the serial shared
+	// DP on the same singleton: equal cost and ordering.
+	eng, err := core.OptimalOrderingSharedParallel(ctx, []*truthtable.Table{tt}, core.NewSolveOptions(core.WithRule(rule)))
+	if err != nil {
+		return fmt.Errorf("shared engine solve failed: %w", err)
+	}
+	if eng.MinCost != sh.MinCost || !slices.Equal(eng.Ordering, sh.Ordering) {
+		return fmt.Errorf("shared engine cost %d ordering %v != serial shared cost %d ordering %v",
+			eng.MinCost, eng.Ordering, sh.MinCost, sh.Ordering)
 	}
 	if res.MinCost != sh.MinCost {
 		return fmt.Errorf("solver MinCost %d != shared-singleton MinCost %d", res.MinCost, sh.MinCost)

@@ -60,16 +60,22 @@ func TestArenaCapParallel(t *testing.T) {
 	}
 }
 
-// TestArenaCapShared is TestArenaCapParallel for the shared-forest DP's
-// worker pool (SolveShared under Schedule{Workers: 4}).
+// TestArenaCapShared is TestArenaCapParallel for the shared-forest DP on
+// the engine. It alternates 2- and 4-root inputs: only their m·2^f-cell
+// tables are powers of two, the size classes the arena pools.
 func TestArenaCapShared(t *testing.T) {
 	probe := keptCells(t)
 	rng := rand.New(rand.NewSource(15))
 	for run := 0; run < 8; run++ {
 		n := 6 + run%4
-		tts := []*truthtable.Table{truthtable.Random(n, rng), truthtable.Random(n, rng), truthtable.Random(n, rng)}
+		tts := randomRoots(n, 2+2*(run%2), rng)
 		m := &Meter{}
-		if _, err := OptimalOrderingSharedCtx(context.Background(), tts, &SolveOptions{Rule: []Rule{OBDD, ZDD}[run%2], Meter: m, Workers: 4}); err != nil {
+		opts := &SolveOptions{Rule: []Rule{OBDD, ZDD}[run/2%2], Meter: m, Workers: 4, ShardBits: 1}
+		if run%3 == 2 {
+			opts.Budget = Budget{MaxNodes: uint64(40 * n)}
+		}
+		_, err := OptimalOrderingSharedParallel(context.Background(), tts, opts)
+		if err != nil && !errors.Is(err, ErrBudgetExceeded) {
 			t.Fatalf("run %d: %v", run, err)
 		}
 		kept, releases := probe()
@@ -77,7 +83,10 @@ func TestArenaCapShared(t *testing.T) {
 			t.Fatalf("run %d: %d releases so far, want %d", run, releases, run+1)
 		}
 		if kept > m.PeakCells {
-			t.Errorf("run %d (n=%d): %d free cells kept, metered peak %d", run, n, kept, m.PeakCells)
+			t.Errorf("run %d (n=%d, roots=%d, err=%v): %d free cells kept, metered peak %d", run, n, len(tts), err, kept, m.PeakCells)
+		}
+		if m.LiveCells != 0 {
+			t.Errorf("run %d: LiveCells = %d, want 0", run, m.LiveCells)
 		}
 	}
 }

@@ -147,7 +147,8 @@ func (ws *workspace) recycle(c *fsContext) {
 // explicit NODE set: a partially absorbed problem state. The absorbed
 // variables occupy the bottom |absorbed| levels in some optimal order; the
 // table maps each assignment of the free (unabsorbed) variables to the
-// canonical ID of the corresponding subfunction's node.
+// canonical ID of the corresponding subfunction's node. A shared-forest
+// context holds one such block per root, end to end (baseContextShared).
 //
 // Node IDs: 0 … nTerm−1 are terminal IDs (false=0, true=1 for Boolean
 // rules); nonterminal nodes are numbered from nTerm upward in creation
@@ -155,7 +156,7 @@ func (ws *workspace) recycle(c *fsContext) {
 type fsContext struct {
 	n     int         // total number of variables of f
 	free  bitops.Mask // variables not yet absorbed
-	table []uint32    // 2^{|free|} cells: node ID per free-variable assignment
+	table []uint32    // 2^{|free|} cells per root: node ID per free-variable assignment
 	cost  uint64      // MINCOST: nonterminal nodes in the absorbed levels
 	nTerm uint32      // number of terminal IDs
 }
@@ -175,16 +176,10 @@ func (c *fsContext) clone() *fsContext {
 func (c *fsContext) cells() uint64 { return uint64(len(c.table)) }
 
 // baseContext builds the initial context FS(∅) from a Boolean truth table:
-// the table is simply the truth table with terminal IDs 0/1 per cell.
+// the table is simply the truth table with terminal IDs 0/1 per cell (the
+// one-root case of baseContextShared).
 func baseContext(tt *truthtable.Table) *fsContext {
-	n := tt.NumVars()
-	table := make([]uint32, tt.Size())
-	for idx := uint64(0); idx < tt.Size(); idx++ {
-		if tt.Bit(idx) {
-			table[idx] = 1
-		}
-	}
-	return &fsContext{n: n, free: bitops.FullMask(n), table: table, cost: 0, nTerm: 2}
+	return baseContextShared([]*truthtable.Table{tt})
 }
 
 // baseContextMulti builds the initial context from a multi-valued table

@@ -118,21 +118,6 @@ func (l *limiter) spend(n uint64) error {
 	return l.check()
 }
 
-// stopped reports (cheaply, and safely from any goroutine) whether the
-// run's context is done. Workers of the parallel solver poll it so a
-// cancellation does not have to wait for a whole layer.
-func (l *limiter) stopped() bool {
-	if l == nil || l.ctx == nil {
-		return false
-	}
-	select {
-	case <-l.ctx.Done():
-		return true
-	default:
-		return false
-	}
-}
-
 // meterFor returns the meter the run should use: the caller's, or a
 // private one when a cell budget demands metering the caller did not set
 // up.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"obddopt/internal/funcs"
@@ -79,6 +80,68 @@ func FuzzFSvsBrute(f *testing.F) {
 		if sum != fs.MinCost {
 			t.Fatalf("n=%d bits=%#x: profile %v sums to %d, want %d",
 				n, bits, fs.Profile, sum, fs.MinCost)
+		}
+	})
+}
+
+// decodeSharedFuzz reads a shared-forest instance and an engine schedule
+// from fuzz bytes. data[0] holds n (bits 0–2, so n ≤ 7), the root count
+// minus one (bits 3–4) and the rule (bit 5); data[1] holds the worker
+// count (1–3, low nibble mod 3) and the shard bits (0–2, high nibble
+// mod 3). The rest is the roots' truth tables end to end, one bit per
+// cell, least significant bit first; missing bytes read as zero.
+func decodeSharedFuzz(data []byte) ([]*truthtable.Table, *SolveOptions) {
+	var hdr [2]byte
+	copy(hdr[:], data)
+	cells := data[min(len(data), 2):]
+	n := int(hdr[0] & 7)
+	roots := make([]*truthtable.Table, 1+int(hdr[0]>>3&3))
+	opts := &SolveOptions{Workers: 1 + int(hdr[1]&0xF)%3, ShardBits: int(hdr[1]>>4) % 3}
+	if hdr[0]&0x20 != 0 {
+		opts.Rule = ZDD
+	}
+	bit := uint64(0)
+	for r := range roots {
+		tt := truthtable.New(n)
+		for idx := uint64(0); idx < tt.Size(); idx++ {
+			if i := bit / 8; i < uint64(len(cells)) {
+				tt.Set(idx, cells[i]>>(bit%8)&1 == 1)
+			}
+			bit++
+		}
+		roots[r] = tt
+	}
+	return roots, opts
+}
+
+// FuzzSharedEngine cross-validates the shared-forest DP on the
+// work-stealing engine against the serial shared DP — equal MinCost and
+// Ordering, under the decoded schedule — and, for n ≤ 5, against the
+// brute-force minimum over all orderings. Explore with
+// `go test -fuzz FuzzSharedEngine ./internal/core`.
+func FuzzSharedEngine(f *testing.F) {
+	f.Add([]byte{0x0b, 0x00, 0x96, 0xe8})             // adder: sum and carry over 3 variables
+	f.Add([]byte{0x3f, 0x25, 0xa5, 0x0f, 0xff, 0x3c}) // 4 ZDD roots over 7 variables, mostly zero
+	f.Fuzz(func(t *testing.T, data []byte) {
+		roots, opts := decodeSharedFuzz(data)
+		serial := OptimalOrderingShared(roots, &SolveOptions{Rule: opts.Rule})
+		m := &Meter{}
+		opts.Meter = m
+		res, err := OptimalOrderingSharedParallel(nil, roots, opts)
+		if err != nil {
+			t.Fatalf("engine: %v", err)
+		}
+		if res.MinCost != serial.MinCost || !slices.Equal(res.Ordering, serial.Ordering) {
+			t.Fatalf("engine cost %d ordering %v, serial cost %d ordering %v (w=%d sb=%d)",
+				res.MinCost, res.Ordering, serial.MinCost, serial.Ordering, opts.Workers, opts.ShardBits)
+		}
+		if m.LiveCells != 0 {
+			t.Fatalf("engine leaves %d live cells", m.LiveCells)
+		}
+		if n := roots[0].NumVars(); n <= 5 {
+			if bf := BruteForceShared(roots, opts.Rule); bf.MinCost != res.MinCost {
+				t.Fatalf("n=%d: engine cost %d, brute force %d", n, res.MinCost, bf.MinCost)
+			}
 		}
 	})
 }

@@ -3,8 +3,10 @@ package core
 import (
 	stdctx "context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"obddopt/internal/truthtable"
@@ -193,34 +195,59 @@ func TestParallelBudgetDrains(t *testing.T) {
 	}
 }
 
-// TestSharedParallelMatchesSerial checks the worker-pool shared-forest DP
-// against the serial shared DP: bit-identical cost and ordering.
+// TestSharedParallelMatchesSerial is the bit-identity property of the
+// shared-forest DP on the work-stealing engine: for every schedule
+// (workers × shard bits × pinning), both rules, and 1–4 roots (one case
+// repeating a root), MinCost, Ordering, Profile and Meter.CellOps equal
+// the serial shared DP's exactly, and the meter ends with no live cells.
 func TestSharedParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(158))
-	for trial := 0; trial < 6; trial++ {
-		n := 3 + trial%3 // 3..5
-		roots := []*truthtable.Table{
-			truthtable.Random(n, rng),
-			truthtable.Random(n, rng),
-			truthtable.Random(n, rng),
-		}
-		serial := OptimalOrderingShared(roots, nil)
-		for _, workers := range []int{2, 4} {
-			m := &Meter{}
-			par := mustResult(OptimalOrderingSharedCtx(nil, roots,
-				&SolveOptions{Workers: workers, Meter: m}))
-			if serial.MinCost != par.MinCost {
-				t.Fatalf("n=%d w=%d: shared parallel %d != serial %d",
-					n, workers, par.MinCost, serial.MinCost)
-			}
-			for i := range serial.Ordering {
-				if serial.Ordering[i] != par.Ordering[i] {
-					t.Fatalf("n=%d w=%d: shared ordering differs: %v vs %v",
-						n, workers, par.Ordering, serial.Ordering)
+	rootCases := []struct {
+		roots int
+		dup   bool // the last root repeats the first
+	}{{1, false}, {2, false}, {3, false}, {4, false}, {3, true}}
+	trial := 0
+	for _, rule := range []Rule{OBDD, ZDD} {
+		for _, rc := range rootCases {
+			for rep := 0; rep < 2; rep++ {
+				n := 3 + trial%8 // 3..10
+				trial++
+				roots := randomRoots(n, rc.roots, rng)
+				if rc.dup {
+					roots[len(roots)-1] = roots[0]
 				}
-			}
-			if m.LiveCells != 0 {
-				t.Errorf("n=%d w=%d: shared parallel leaks %d live cells", n, workers, m.LiveCells)
+				sm := &Meter{}
+				serial := OptimalOrderingShared(roots, &SolveOptions{Rule: rule, Meter: sm})
+				for _, workers := range []int{1, 2, 4} {
+					for _, shardBits := range []int{0, 1} {
+						for _, pinned := range []bool{false, true} {
+							m := &Meter{}
+							par, err := OptimalOrderingSharedParallel(nil, roots, &SolveOptions{
+								Rule: rule, Meter: m, Workers: workers, ShardBits: shardBits, Pinned: pinned,
+							})
+							where := fmt.Sprintf("%s n=%d roots=%d dup=%v w=%d sb=%d pinned=%v",
+								rule, n, rc.roots, rc.dup, workers, shardBits, pinned)
+							if err != nil {
+								t.Fatalf("%s: %v", where, err)
+							}
+							if par.MinCost != serial.MinCost {
+								t.Fatalf("%s: MinCost %d != serial %d", where, par.MinCost, serial.MinCost)
+							}
+							if !slices.Equal(par.Ordering, serial.Ordering) {
+								t.Fatalf("%s: ordering %v != serial %v", where, par.Ordering, serial.Ordering)
+							}
+							if !slices.Equal(par.Profile, serial.Profile) {
+								t.Fatalf("%s: profile %v != serial %v", where, par.Profile, serial.Profile)
+							}
+							if m.CellOps != sm.CellOps {
+								t.Fatalf("%s: CellOps %d != serial %d", where, m.CellOps, sm.CellOps)
+							}
+							if m.LiveCells != 0 {
+								t.Errorf("%s: LiveCells = %d after the run, want 0", where, m.LiveCells)
+							}
+						}
+					}
+				}
 			}
 		}
 	}
@@ -234,4 +261,21 @@ func BenchmarkParallelFS12(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		mustResult(OptimalOrderingParallel(nil, f, nil))
 	}
+}
+
+// BenchmarkShared12 times the shared-forest DP on three random roots at
+// n=12 (the benchmark suite's SolveShared input): the serial reference
+// against the engine at GOMAXPROCS workers.
+func BenchmarkShared12(b *testing.B) {
+	roots := randomRoots(12, 3, rand.New(rand.NewSource(1)))
+	b.Run("serial", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			OptimalOrderingShared(roots, nil)
+		}
+	})
+	b.Run("engine", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			mustResult(OptimalOrderingSharedParallel(nil, roots, nil))
+		}
+	})
 }

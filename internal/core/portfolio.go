@@ -37,8 +37,9 @@ type SolveOptions struct {
 	// Budget bounds the run's resources; the zero value is unlimited.
 	// The portfolio also dispatches on MaxCells (see Portfolio).
 	Budget Budget
-	// Workers is the goroutine count of the parallel DP, the portfolio's
-	// included; 0 selects GOMAXPROCS.
+	// Workers is the goroutine count of the work-stealing DP engine, as
+	// run by the parallel solver, the portfolio and
+	// OptimalOrderingSharedParallel; 0 selects GOMAXPROCS.
 	Workers int
 	// ShardBits overrides the work-stealing scheduler's shard granularity:
 	// when positive, each popcount layer is split into shards of 2^ShardBits

@@ -2,8 +2,6 @@ package core
 
 import (
 	stdctx "context"
-	"sort"
-	"sync"
 	"time"
 
 	"obddopt/internal/bitops"
@@ -24,7 +22,10 @@ import (
 // Mechanically, a shared context carries one table per root over the same
 // free-variable cells; compaction deduplicates (u0, u1) pairs across all
 // roots jointly, preserving the invariant that two cells (of any roots)
-// hold equal IDs iff their subfunctions are equal.
+// hold equal IDs iff their subfunctions are equal. The serial DP below
+// runs on these per-root contexts and is the reference; the engine entry
+// (OptimalOrderingSharedParallel) runs the same DP on one concatenated
+// table.
 
 // sharedContext is the multi-rooted analogue of context.
 type sharedContext struct {
@@ -135,17 +136,13 @@ func OptimalOrderingShared(tts []*truthtable.Table, opts *SolveOptions) *SharedR
 // result is returned with ErrCanceled / ErrBudgetExceeded (the DP holds
 // no incumbent before it completes).
 //
-// An explicit schedule with opts.Workers > 1 fans each popcount layer
-// out over a worker pool with a deterministic merge; results stay
-// bit-identical to the serial path (the keep rule is arrival-order
-// independent). opts.Workers <= 1 — including the 0 default — runs
-// serially.
+// It is the serial reference for OptimalOrderingSharedParallel, which
+// SolveShared runs: one goroutine builds every candidate table of every
+// layer, one compaction per root per transition, and the schedule
+// options (Workers, ShardBits, Pinned) are ignored, as by the fs solver.
 func OptimalOrderingSharedCtx(ctx stdctx.Context, tts []*truthtable.Table, opts *SolveOptions) (*SharedResult, error) {
 	if len(tts) == 0 {
 		panic("core: OptimalOrderingShared needs at least one root") //lint:allow nopanic documented programmer-error precondition: at least one root required
-	}
-	if w := opts.workers(); w > 1 && tts[0].NumVars() > 2 {
-		return optimalOrderingSharedParallel(ctx, tts, opts, w)
 	}
 	rule, tr := opts.rule(), opts.trace()
 	m := meterFor(opts.meter(), opts.budget())
@@ -259,220 +256,84 @@ func OptimalOrderingSharedCtx(ctx stdctx.Context, tts []*truthtable.Table, opts 
 		mask = mask.Without(v)
 	}
 	profile, _ := profileShared(tts, order, rule)
-	return &SharedResult{
-		N:         n,
-		Roots:     len(tts),
-		Rule:      rule,
-		MinCost:   minCost,
-		Terminals: sharedTerminals(tts),
-		Size:      minCost + uint64(sharedTerminals(tts)),
-		Ordering:  order,
-		Profile:   profile,
-	}, nil
+	return newSharedResult(tts, rule, minCost, order, profile), nil
 }
 
-// optimalOrderingSharedParallel is the worker-pool shared DP: each layer's
-// transitions fan out over opts.Workers goroutines (the transitions of one
-// layer are independent — they read only the previous layer), and the
-// coordinator merges the candidates deterministically, sorted by
-// (destination mask, absorbed variable), under the same keep rule as the
-// serial loop — so results are bit-identical, including tie-breaking.
-//
-// Meter updates merge once per layer: lane meters contribute CellOps /
-// Compactions exactly, while LiveCells/PeakCells are layer-granular (the
-// whole candidate layer is accounted at the barrier). Trace events are
-// layer-granular, emitted only by the coordinator. MaxNodes is charged at
-// the layer barrier; MaxCells is checked after each layer's merge.
-func optimalOrderingSharedParallel(ctx stdctx.Context, tts []*truthtable.Table, opts *SolveOptions, workers int) (*SharedResult, error) {
-	rule, tr := opts.rule(), opts.trace()
-	m := opts.meter()
-	if m == nil {
-		m = &Meter{} // the workspace cap below keeps the run's metered peak
-	}
-	lim := newLimiter(ctx, opts.budget(), m)
-	obs.Metrics.RunsStarted.Inc()
-	obs.Metrics.WorkerSpawns.Add(uint64(workers))
+// baseContextShared is the base of the shared problem on the engine: the
+// m roots' truth tables laid end to end in one context of m·2^n cells,
+// root r's cells at offset r·2^n. The root index sits in the bits above
+// the n variable bits and is never absorbed, so every absorbed
+// variable's stride (at most 2^f for f free variables) stays inside one
+// root's block, and one compactInto over the concatenation assigns
+// exactly the IDs compactShared assigns with its per-root calls sharing
+// one dedup. Equal cells therefore hold equal subfunctions across roots
+// too, which is all the engine's width-counting kernel relies on. Only
+// the table length departs from fsContext's 2^|free| cells; the engine,
+// compact and profileAlong read lengths off the table.
+func baseContextShared(tts []*truthtable.Table) *fsContext {
 	n := tts[0].NumVars()
-
-	wss := make([]*workspace, workers)
-	for w := range wss {
-		wss[w] = acquireWorkspace()
+	size := uint64(1) << uint(n)
+	table := make([]uint32, uint64(len(tts))*size)
+	for r, tt := range tts {
+		if tt.NumVars() != n {
+			panic("core: shared roots must have the same variable count") //lint:allow nopanic documented programmer-error precondition: shared roots share one variable set
+		}
+		cells := table[uint64(r)*size:]
+		for idx := uint64(0); idx < size; idx++ {
+			if tt.Bit(idx) {
+				cells[idx] = 1
+			}
+		}
 	}
-	defer func() { releaseCapped(wss, m.PeakCells) }()
+	return &fsContext{n: n, free: bitops.FullMask(n), table: table, cost: 0, nTerm: 2}
+}
 
-	base := baseSharedContext(tts)
+// OptimalOrderingSharedParallel is OptimalOrderingSharedCtx on the
+// work-stealing engine of OptimalOrderingParallel, over the concatenated
+// base of baseContextShared, under the schedule options: opts.Workers
+// (0 selects GOMAXPROCS), opts.ShardBits and opts.Pinned. MinCost,
+// Ordering, Profile and Meter.CellOps are bit-identical to the serial
+// reference at every schedule. Meter.Compactions counts one per DP
+// transition rather than one per root, and LiveCells/PeakCells reflect
+// the engine's three-layer window, so a Budget.MaxCells the serial
+// two-layer DP meets can stop this one. The early-stop contract is
+// OptimalOrderingParallel's: ErrCanceled / ErrBudgetExceeded with a nil
+// result and every engine-owned table released. Inputs with n ≤ 2 run
+// the serial reference, as OptimalOrderingParallel does.
+func OptimalOrderingSharedParallel(ctx stdctx.Context, tts []*truthtable.Table, opts *SolveOptions) (*SharedResult, error) {
+	if len(tts) == 0 {
+		panic("core: OptimalOrderingSharedParallel needs at least one root") //lint:allow nopanic documented programmer-error precondition: at least one root required
+	}
+	if tts[0].NumVars() <= 2 {
+		return OptimalOrderingSharedCtx(ctx, tts, opts)
+	}
+	rule := opts.rule()
+	m := meterFor(opts.meter(), opts.budget())
+	base := baseContextShared(tts)
 	m.alloc(base.cells())
-
-	// releaseLayer returns the current layer's contexts (base excluded) to
-	// the meter and the coordinator's arena; it runs only between barriers,
-	// after every worker has joined.
-	releaseLayer := func(layer map[bitops.Mask]*sharedContext) {
-		for mask, c := range layer {
-			if mask != 0 || c != base {
-				m.free(c.cells())
-				wss[0].recycleShared(c)
-			}
-		}
-	}
-
-	type cand struct {
-		mask bitops.Mask
-		v    int
-		ctx  *sharedContext
-		ws   *workspace // producing worker's workspace, for recycling
-	}
-	bestLast := make(map[bitops.Mask]int)
-	layer := map[bitops.Mask]*sharedContext{0: base}
-	for k := 1; k <= n; k++ {
-		var layerStart time.Time
-		if tr != nil {
-			layerStart = time.Now()
-			tr.Emit(obs.Event{Kind: obs.KindLayerStart, K: k, Subsets: len(layer)})
-		}
-		// Snapshot the previous layer into a deterministic work list.
-		prev := make([]bitops.Mask, 0, len(layer))
-		for mask := range layer {
-			prev = append(prev, mask)
-		}
-		sort.Slice(prev, func(i, j int) bool { return prev[i] < prev[j] })
-
-		results := make([][]cand, workers)
-		meters := make([]*Meter, workers)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				var local []cand
-				lm := &Meter{}
-				for i := w; i < len(prev); i += workers {
-					// Cooperative checkpoint: ctx polling is safe from any
-					// goroutine; budget accounting stays with the
-					// coordinator at the barrier.
-					if lim.stopped() {
-						break
-					}
-					prevMask := prev[i]
-					prevCtx := layer[prevMask]
-					for v := 0; v < n; v++ {
-						if prevMask.Has(v) {
-							continue
-						}
-						c, _ := compactShared(prevCtx, v, rule, lm, wss[w])
-						local = append(local, cand{mask: prevMask.With(v), v: v, ctx: c, ws: wss[w]})
-					}
-				}
-				results[w] = local
-				meters[w] = lm
-			}(w)
-		}
-		wg.Wait()
-
-		var all []cand
-		for _, r := range results {
-			all = append(all, r...)
-		}
-		// Charge the layer's transitions and poll the context once per
-		// barrier; on a stop, drop every candidate before it enters the
-		// caller's meter.
-		if err := lim.spend(uint64(len(all))); err != nil {
-			for _, c := range all {
-				c.ws.recycleShared(c.ctx)
-			}
-			releaseLayer(layer)
-			m.free(base.cells())
-			return nil, err
-		}
-		// Deterministic merge in (mask, v) order under the serial keep
-		// rule: minimum cost, ties to the smallest absorbed variable.
-		sort.Slice(all, func(i, j int) bool {
-			if all[i].mask != all[j].mask {
-				return all[i].mask < all[j].mask
-			}
-			return all[i].v < all[j].v
-		})
-		next := make(map[bitops.Mask]*sharedContext, len(all)/k+1)
-		var layerCells, keptCells, layerOps uint64
-		for _, c := range all {
-			layerCells += c.ctx.cells()
-			if cur, ok := next[c.mask]; !ok || c.ctx.cost < cur.cost ||
-				(c.ctx.cost == cur.cost && c.v < bestLast[c.mask]) {
-				if ok {
-					keptCells -= cur.cells()
-					c.ws.recycleShared(cur)
-				}
-				next[c.mask] = c.ctx
-				bestLast[c.mask] = c.v
-				keptCells += c.ctx.cells()
-			} else {
-				c.ws.recycleShared(c.ctx)
-			}
-		}
-		var layerCompactions uint64
-		for _, lm := range meters {
-			layerOps += lm.CellOps
-			layerCompactions += lm.Compactions
-		}
-		for _, lm := range meters {
-			m.CellOps += lm.CellOps
-			m.Compactions += lm.Compactions
-			m.Evaluations += lm.Evaluations
-		}
-		m.alloc(layerCells)
-		m.free(layerCells - keptCells)
-		releaseLayer(layer)
-		layer = next
-		obs.Metrics.CellOps.Add(layerOps)
-		obs.Metrics.Compactions.Add(layerCompactions)
-
-		// The cell budget is enforced at the layer boundary, after the
-		// meter has absorbed the layer's surviving tables.
-		if err := lim.check(); err != nil {
-			releaseLayer(layer)
-			m.free(base.cells())
-			return nil, err
-		}
-		if tr != nil {
-			tr.Emit(obs.Event{
-				Kind:      obs.KindLayerEnd,
-				K:         k,
-				Subsets:   len(next),
-				CellOps:   layerOps,
-				Elapsed:   time.Since(layerStart),
-				LiveCells: m.LiveCells,
-				PeakCells: m.PeakCells,
-			})
-		}
-	}
-
-	full := bitops.FullMask(n)
-	minCost := layer[full].cost
-	m.free(layer[full].cells())
-	wss[0].recycleShared(layer[full])
+	minCost, order, err := runEngine(ctx, base, opts, m)
 	m.free(base.cells())
-	finishMetrics(m)
-
-	order := make(truthtable.Ordering, n)
-	mask := full
-	for i := n - 1; i >= 0; i-- {
-		v, ok := bestLast[mask]
-		if !ok {
-			panic("core: shared DP missing parent pointer") //lint:allow nopanic internal invariant: the DP records a parent pointer for every kept subset
-		}
-		order[i] = v
-		mask = mask.Without(v)
+	if err != nil {
+		return nil, err
 	}
-	profile, _ := profileShared(tts, order, rule)
+	profile, _ := profileAlong(base, order, rule, nil)
+	finishMetrics(m)
+	return newSharedResult(tts, rule, minCost, order, profile), nil
+}
+
+// newSharedResult assembles a SharedResult from a solved ordering.
+func newSharedResult(tts []*truthtable.Table, rule Rule, minCost uint64, order truthtable.Ordering, profile []uint64) *SharedResult {
+	terminals := sharedTerminals(tts)
 	return &SharedResult{
-		N:         n,
+		N:         tts[0].NumVars(),
 		Roots:     len(tts),
 		Rule:      rule,
 		MinCost:   minCost,
-		Terminals: sharedTerminals(tts),
-		Size:      minCost + uint64(sharedTerminals(tts)),
+		Terminals: terminals,
+		Size:      minCost + uint64(terminals),
 		Ordering:  order,
 		Profile:   profile,
-	}, nil
+	}
 }
 
 func sharedTerminals(tts []*truthtable.Table) int {
@@ -575,14 +436,5 @@ func BruteForceShared(tts []*truthtable.Table, rule Rule) *SharedResult {
 	dfs(baseSharedContext(tts))
 	ws.release()
 	profile, _ := profileShared(tts, bestOrder, rule)
-	return &SharedResult{
-		N:         n,
-		Roots:     len(tts),
-		Rule:      rule,
-		MinCost:   best,
-		Terminals: sharedTerminals(tts),
-		Size:      best + uint64(sharedTerminals(tts)),
-		Ordering:  truthtable.Ordering(append([]int{}, bestOrder...)),
-		Profile:   profile,
-	}
+	return newSharedResult(tts, rule, best, bestOrder, profile)
 }

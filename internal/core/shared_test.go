@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -197,11 +199,15 @@ func TestSharedProfileMatchesBDDManagerUnion(t *testing.T) {
 
 func TestSharedPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"no roots":       func() { OptimalOrderingShared(nil, nil) },
-		"mixed vars":     func() { OptimalOrderingShared([]*truthtable.Table{truthtable.New(2), truthtable.New(3)}, nil) },
-		"profile empty":  func() { SharedProfile(nil, nil, OBDD) },
-		"profile perm":   func() { SharedProfile([]*truthtable.Table{truthtable.New(2)}, truthtable.Ordering{0, 0}, OBDD) },
-		"brute no roots": func() { BruteForceShared(nil, OBDD) },
+		"no roots":        func() { OptimalOrderingShared(nil, nil) },
+		"mixed vars":      func() { OptimalOrderingShared([]*truthtable.Table{truthtable.New(2), truthtable.New(3)}, nil) },
+		"profile empty":   func() { SharedProfile(nil, nil, OBDD) },
+		"profile perm":    func() { SharedProfile([]*truthtable.Table{truthtable.New(2)}, truthtable.Ordering{0, 0}, OBDD) },
+		"brute no roots":  func() { BruteForceShared(nil, OBDD) },
+		"engine no roots": func() { mustResult(OptimalOrderingSharedParallel(nil, nil, nil)) },
+		"engine mixed vars": func() {
+			mustResult(OptimalOrderingSharedParallel(nil, []*truthtable.Table{truthtable.New(3), truthtable.New(4)}, nil))
+		},
 	} {
 		func() {
 			defer func() {
@@ -220,5 +226,74 @@ func TestSharedMeterLeakFree(t *testing.T) {
 	OptimalOrderingShared(randomRoots(5, 3, rng), &SolveOptions{Meter: m})
 	if m.LiveCells != 0 {
 		t.Errorf("LiveCells = %d after shared run", m.LiveCells)
+	}
+}
+
+// TestSharedEngineEarlyStop pins the engine's early-stop contract on the
+// shared problem: a pre-canceled context, a node budget and a cell budget
+// each stop the run with the sentinel error and a nil result, and leave
+// the meter with no live cells.
+func TestSharedEngineEarlyStop(t *testing.T) {
+	rng := rand.New(rand.NewSource(129))
+	roots := randomRoots(8, 3, rng)
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range []struct {
+		name   string
+		ctx    context.Context
+		budget Budget
+		want   error
+	}{
+		{"pre-canceled", canceled, Budget{}, ErrCanceled},
+		{"max-nodes", nil, Budget{MaxNodes: 40}, ErrBudgetExceeded},
+		{"max-cells", nil, Budget{MaxCells: 1000}, ErrBudgetExceeded},
+	} {
+		for _, workers := range []int{1, 2} {
+			m := &Meter{}
+			res, err := OptimalOrderingSharedParallel(tc.ctx, roots, &SolveOptions{Meter: m, Budget: tc.budget, Workers: workers})
+			if !errors.Is(err, tc.want) {
+				t.Errorf("%s w=%d: err = %v, want %v", tc.name, workers, err, tc.want)
+			}
+			if res != nil {
+				t.Errorf("%s w=%d: res = %+v, want nil", tc.name, workers, res)
+			}
+			if m.LiveCells != 0 {
+				t.Errorf("%s w=%d: LiveCells = %d after the stop, want 0", tc.name, workers, m.LiveCells)
+			}
+		}
+	}
+}
+
+// TestSharedEngineCellBudgetBoundary pins where MaxCells stops the shared
+// engine. At one worker the schedule is deterministic, so the metered
+// peak of an unlimited run is the smallest cell budget under which the
+// same run finishes: a budget of exactly the peak succeeds, one cell less
+// stops it.
+func TestSharedEngineCellBudgetBoundary(t *testing.T) {
+	rng := rand.New(rand.NewSource(130))
+	for _, nRoots := range []int{2, 3} {
+		roots := randomRoots(7, nRoots, rng)
+		free := &Meter{}
+		want := mustResult(OptimalOrderingSharedParallel(nil, roots, &SolveOptions{Meter: free, Workers: 1}))
+		peak := free.PeakCells
+
+		at := &Meter{}
+		got, err := OptimalOrderingSharedParallel(nil, roots, &SolveOptions{Meter: at, Workers: 1, Budget: Budget{MaxCells: peak}})
+		if err != nil {
+			t.Fatalf("roots=%d MaxCells=%d (the peak): %v", nRoots, peak, err)
+		}
+		if got.MinCost != want.MinCost || at.PeakCells != peak {
+			t.Errorf("roots=%d: budgeted run cost %d peak %d, unlimited cost %d peak %d",
+				nRoots, got.MinCost, at.PeakCells, want.MinCost, peak)
+		}
+
+		below := &Meter{}
+		res, err := OptimalOrderingSharedParallel(nil, roots, &SolveOptions{Meter: below, Workers: 1, Budget: Budget{MaxCells: peak - 1}})
+		if !errors.Is(err, ErrBudgetExceeded) || res != nil {
+			t.Errorf("roots=%d MaxCells=%d (peak-1): res %v err %v, want nil and ErrBudgetExceeded", nRoots, peak-1, res, err)
+		}
+		if below.LiveCells != 0 {
+			t.Errorf("roots=%d: LiveCells = %d after the stop, want 0", nRoots, below.LiveCells)
+		}
 	}
 }

@@ -139,18 +139,29 @@ func TestTraceDnC(t *testing.T) {
 	}
 }
 
-// TestTraceShared checks the shared-forest DP layer contract.
+// TestTraceShared checks the shared-forest DP layer contract on the
+// serial reference and on the engine: one LayerEnd per variable, whose
+// CellOps sum to the meter's.
 func TestTraceShared(t *testing.T) {
 	f := truthtable.FromFunc(4, func(x []bool) bool { return x[0] && x[1] || x[2] })
 	g := truthtable.FromFunc(4, func(x []bool) bool { return x[1] != x[3] })
-	rec := obs.NewRecorder()
-	m := &Meter{}
-	OptimalOrderingShared([]*truthtable.Table{f, g}, &SolveOptions{Meter: m, Trace: rec})
-	if got := rec.Count(obs.KindLayerEnd); got != 4 {
-		t.Errorf("LayerEnd events = %d, want 4", got)
-	}
-	if sum := rec.SumCellOps(obs.KindLayerEnd); sum != m.CellOps {
-		t.Errorf("Σ LayerEnd.CellOps = %d, want Meter.CellOps = %d", sum, m.CellOps)
+	tts := []*truthtable.Table{f, g}
+	for _, run := range []struct {
+		name  string
+		solve func(*SolveOptions)
+	}{
+		{"serial", func(o *SolveOptions) { OptimalOrderingShared(tts, o) }},
+		{"engine", func(o *SolveOptions) { mustResult(OptimalOrderingSharedParallel(nil, tts, o)) }},
+	} {
+		rec := obs.NewRecorder()
+		m := &Meter{}
+		run.solve(&SolveOptions{Meter: m, Trace: rec, Workers: 2})
+		if got := rec.Count(obs.KindLayerEnd); got != 4 {
+			t.Errorf("%s: LayerEnd events = %d, want 4", run.name, got)
+		}
+		if sum := rec.SumCellOps(obs.KindLayerEnd); sum != m.CellOps {
+			t.Errorf("%s: Σ LayerEnd.CellOps = %d, want Meter.CellOps = %d", run.name, sum, m.CellOps)
+		}
 	}
 }
 

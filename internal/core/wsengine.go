@@ -744,48 +744,22 @@ func (e *wsEngine) releaseAll() {
 	releaseCapped(wss, uint64(e.peak.Load()))
 }
 
-// OptimalOrderingParallel runs the Friedman–Supowit dynamic program on
-// the work-stealing layer pipeline above: popcount layers are sharded
-// over opts.Workers goroutines (0 selects GOMAXPROCS) with deque-based
-// work stealing, and workers flow into the next layer as soon as its
-// predecessor watermark is covered instead of waiting at a layer
-// barrier. Results — cost, ordering, tie-breaking, profile — are
-// bit-identical to OptimalOrderingCtx at every worker count and shard
-// size; CellOps/Compactions metering is identical too, while
-// LiveCells/PeakCells reflect the pipeline's three-layer window
-// (against the serial rolling two, see DESIGN.md).
-//
-// Cancellation and budget exhaustion are polled per DP transition; on
-// an early stop every worker drains, every engine-owned table is
-// released — an attached Meter ends with the caller-visible LiveCells
-// it started with — and ErrCanceled / ErrBudgetExceeded is returned
-// with a nil Result (the DP holds no incumbent before it completes).
-//
-// opts.ShardBits overrides the shard granularity (2^b ranks per shard)
-// for scheduling experiments; opts.Pinned disables stealing so each
-// worker runs only shards it claimed itself.
-func OptimalOrderingParallel(ctx stdctx.Context, tt *truthtable.Table, opts *SolveOptions) (*Result, error) {
-	rule, tr, budget := opts.rule(), opts.trace(), opts.budget()
-	m := meterFor(opts.meter(), budget)
+// runEngine is the driver of the work-stealing pipeline over a
+// caller-owned base context: it spawns the workers, merges their lane
+// meters and the engine's cell gauge into m at run granularity, walks
+// the parent pointers from the full set back down, and releases every
+// engine-owned table. The base's own cells stay the caller's to meter.
+// It returns the minimum cost and a bottom-up optimal ordering, or the
+// engine's ErrCanceled / ErrBudgetExceeded with m's LiveCells back where
+// they were. opts.Workers 0 selects GOMAXPROCS.
+func runEngine(ctx stdctx.Context, base *fsContext, opts *SolveOptions, m *Meter) (uint64, truthtable.Ordering, error) {
 	workers := opts.workers()
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	n := tt.NumVars()
-	// Tiny inputs fall back to the serial DP (bit-identical by
-	// construction). Larger ones run the pipeline even at one worker:
-	// the width-counting kernel does real work only for one of each
-	// destination's k candidates, which beats the serial all-build DP by
-	// a wide margin regardless of parallelism.
-	if n <= 2 {
-		return OptimalOrderingCtx(ctx, tt, &SolveOptions{Rule: rule, Meter: m, Trace: tr, Budget: budget})
-	}
 	obs.Metrics.RunsStarted.Inc()
 	obs.Metrics.WorkerSpawns.Add(uint64(workers))
-
-	base := baseContext(tt)
-	m.alloc(base.cells())
-	e := newWSEngine(ctx, base, rule, workers, opts.shardBits(), opts.pinnedSchedule(), budget, tr)
+	e := newWSEngine(ctx, base, opts.rule(), workers, opts.shardBits(), opts.pinnedSchedule(), opts.budget(), opts.trace())
 
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -820,14 +794,14 @@ func OptimalOrderingParallel(ctx stdctx.Context, tt *truthtable.Table, opts *Sol
 		e.releaseAll()
 		m.alloc(peak)
 		m.free(peak)
-		m.free(base.cells())
-		return nil, err
+		return 0, nil, err
 	}
 
 	final := uint64(e.live.Load())
 	m.alloc(peak)
 	m.free(peak - final)
 
+	n := e.n
 	minCost := e.layers[n].costs[0]
 	order := make(truthtable.Ordering, n)
 	rel := bitops.FullMask(n)
@@ -838,7 +812,47 @@ func OptimalOrderingParallel(ctx stdctx.Context, tt *truthtable.Table, opts *Sol
 	}
 	e.releaseAll()
 	m.free(final)
+	return minCost, order, nil
+}
+
+// OptimalOrderingParallel runs the Friedman–Supowit dynamic program on
+// the work-stealing layer pipeline above: popcount layers are sharded
+// over opts.Workers goroutines (0 selects GOMAXPROCS) with deque-based
+// work stealing, and workers flow into the next layer as soon as its
+// predecessor watermark is covered instead of waiting at a layer
+// barrier. Results — cost, ordering, tie-breaking, profile — are
+// bit-identical to OptimalOrderingCtx at every worker count and shard
+// size; CellOps/Compactions metering is identical too, while
+// LiveCells/PeakCells reflect the pipeline's three-layer window
+// (against the serial rolling two, see DESIGN.md).
+//
+// Cancellation and budget exhaustion are polled per DP transition; on
+// an early stop every worker drains, every engine-owned table is
+// released — an attached Meter ends with the caller-visible LiveCells
+// it started with — and ErrCanceled / ErrBudgetExceeded is returned
+// with a nil Result (the DP holds no incumbent before it completes).
+//
+// opts.ShardBits overrides the shard granularity (2^b ranks per shard)
+// for scheduling experiments; opts.Pinned disables stealing so each
+// worker runs only shards it claimed itself.
+func OptimalOrderingParallel(ctx stdctx.Context, tt *truthtable.Table, opts *SolveOptions) (*Result, error) {
+	rule, budget := opts.rule(), opts.budget()
+	m := meterFor(opts.meter(), budget)
+	// Tiny inputs fall back to the serial DP (bit-identical by
+	// construction). Larger ones run the pipeline even at one worker:
+	// the width-counting kernel does real work only for one of each
+	// destination's k candidates, which beats the serial all-build DP by
+	// a wide margin regardless of parallelism.
+	if tt.NumVars() <= 2 {
+		return OptimalOrderingCtx(ctx, tt, &SolveOptions{Rule: rule, Meter: m, Trace: opts.trace(), Budget: budget})
+	}
+	base := baseContext(tt)
+	m.alloc(base.cells())
+	minCost, order, err := runEngine(ctx, base, opts, m)
 	m.free(base.cells())
+	if err != nil {
+		return nil, err
+	}
 	res := finishResult(tt, nil, order, minCost, rule, m)
 	finishMetrics(m)
 	return res, nil

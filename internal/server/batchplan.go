@@ -15,9 +15,11 @@ import (
 // that opt in via SolveHints.Coschedule are grouped by variable count,
 // rule and canonical-digest prefix, and each group whose tables overlap
 // is solved as ONE shared-forest dynamic program under one worker slot —
-// the shared DP amortizes the subset lattice across the group, so k
-// overlapping items cost far less than k independent solves. The
-// planner's decision is echoed per item in SolveResponse.Scheduling.
+// the work-stealing DP engine over the group's concatenated tables, under
+// the group head's schedule. The shared DP amortizes the subset lattice
+// across the group, so k overlapping items cost far less than k
+// independent solves. The planner's decision is echoed per item in
+// SolveResponse.Scheduling.
 
 // coschedulePrefixLen caps the length (hex digits) of the canonical-
 // digest prefix in the grouping key; small tables use half their digits
@@ -183,7 +185,7 @@ func (s *Server) solveGroup(reqCtx context.Context, req *BatchRequest, g *batchG
 
 	s.solves.Add(1)
 	solveStart := time.Now()
-	shared, err := core.OptimalOrderingSharedCtx(ctx, g.tts, opts)
+	shared, err := core.OptimalOrderingSharedParallel(ctx, g.tts, opts)
 	elapsed := time.Since(solveStart)
 	obs.Hist(obs.HistNameSolveLatency, "solver", "shared").RecordDuration(elapsed)
 

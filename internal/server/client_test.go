@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -301,6 +302,14 @@ func TestBatchCoschedule(t *testing.T) {
 	for i := range results[0].Result.Ordering {
 		if results[0].Result.Ordering[i] != results[1].Result.Ordering[i] {
 			t.Fatalf("group orderings differ: %v vs %v", results[0].Result.Ordering, results[1].Result.Ordering)
+		}
+	}
+	// The group runs on the shared engine; its ordering is the serial
+	// shared DP's on the group's tables, bit for bit.
+	want := core.OptimalOrderingShared([]*truthtable.Table{a, b}, nil)
+	for i := 0; i < 2; i++ {
+		if !slices.Equal(results[i].Result.Ordering, want.Ordering) {
+			t.Errorf("item %d ordering %v != serial shared DP's %v", i, results[i].Result.Ordering, want.Ordering)
 		}
 	}
 	opt := core.OptimalOrdering(a, nil)

@@ -99,8 +99,8 @@ func WithMeter(m *Meter) Option {
 // enabled. The zero value is the automatic default (GOMAXPROCS workers,
 // auto-sized shards, stealing on).
 type Schedule struct {
-	// Workers is the goroutine count of the parallel dynamic program and
-	// the shared-forest worker pool; 0 selects GOMAXPROCS.
+	// Workers is the goroutine count of the parallel dynamic program,
+	// SolveShared's included; 0 selects GOMAXPROCS.
 	Workers int
 	// ShardBits overrides the shard granularity of the work-stealing DP:
 	// when positive, each popcount layer is split into shards of
@@ -116,9 +116,8 @@ type Schedule struct {
 
 // WithSchedule configures the parallel scheduler: worker count, shard
 // granularity, and stealing. It applies to the "parallel" solver, to the
-// portfolio (which runs that engine), and to SolveShared's worker pool
-// (which uses the schedule's Workers; shard granularity and pinning only
-// affect the work-stealing single-function engine).
+// portfolio (which runs that engine), and to SolveShared, which runs the
+// same engine over the roots' concatenated tables.
 func WithSchedule(s Schedule) Option {
 	return func(c *solveConfig) {
 		c.opts.Workers = s.Workers
@@ -237,16 +236,20 @@ func SolveArtifact(ctx context.Context, tt *Table, opts ...Option) (*Result, *Ar
 // ordering minimizing the node count of the shared diagram of several
 // functions over the same variables.
 //
-// Only the Friedman–Supowit dynamic program solves the shared problem,
-// so SolveShared accepts a subset of Solve's options: WithRule,
+// Only the Friedman–Supowit dynamic program solves the shared problem.
+// SolveShared runs it on the work-stealing engine of the "parallel"
+// solver, with the m roots' truth tables laid end to end in one base
+// table, so it accepts a subset of Solve's options: WithRule,
 // WithDeadline, WithBudget, WithMeter, WithTrace and WithSchedule /
-// WithWorkers (a schedule with more than one worker fans each DP layer
-// out over a worker pool, bit-identical to the serial path), plus
+// WithWorkers (Workers 0 selects GOMAXPROCS, as in Solve; every
+// schedule is bit-identical to the serial shared DP), plus
 // WithSolver("fs") as an explicit no-op. Any other WithSolver name
 // returns ErrInvalidInput — an option that cannot take effect is
 // rejected, never silently ignored. The early-stop contract matches
 // Solve's, except the dynamic program carries no incumbent, so an early
-// stop always returns a nil result with the error.
+// stop always returns a nil result with the error. As for the parallel
+// solver, the engine's three-layer window can stop a run whose
+// Budget.MaxCells the serial two-layer DP would meet.
 func SolveShared(ctx context.Context, tts []*Table, opts ...Option) (*SharedResult, error) {
 	var cfg solveConfig
 	for _, o := range opts {
@@ -271,7 +274,7 @@ func SolveShared(ctx context.Context, tts []*Table, opts ...Option) (*SharedResu
 	}
 	ctx, cancel := applyDeadline(ctx, cfg.deadline)
 	defer cancel()
-	return core.OptimalOrderingSharedCtx(ctx, tts, &cfg.opts)
+	return core.OptimalOrderingSharedParallel(ctx, tts, &cfg.opts)
 }
 
 // applyDeadline layers the WithDeadline option onto the caller's

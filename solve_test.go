@@ -122,8 +122,8 @@ func TestSolveSharedOptionValidation(t *testing.T) {
 
 // TestWithScheduleFacade drives the Schedule API end to end through the
 // facade: a scheduled parallel solve, the deprecated WithWorkers shim,
-// and a scheduled shared solve all return results bit-identical to their
-// default-configured counterparts.
+// and a scheduled shared solve all return results bit-identical to the
+// serial dynamic program's (the single-table or the shared one).
 func TestWithScheduleFacade(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	tt := RandomTable(7, rng)
@@ -150,11 +150,10 @@ func TestWithScheduleFacade(t *testing.T) {
 		}
 	}
 
+	// SolveShared runs the engine whatever the schedule, so the shared
+	// half holds it to the serial shared DP.
 	roots := []*Table{RandomTable(5, rng), RandomTable(5, rng), RandomTable(5, rng)}
-	sharedWant, err := SolveShared(context.Background(), roots)
-	if err != nil {
-		t.Fatalf("shared reference: %v", err)
-	}
+	sharedWant := core.OptimalOrderingShared(roots, nil)
 	sharedGot, err := SolveShared(context.Background(), roots, WithSchedule(Schedule{Workers: 4}))
 	if err != nil {
 		t.Fatalf("scheduled shared: %v", err)
