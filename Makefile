@@ -81,16 +81,19 @@ trace-demo:
 		-progress -json
 
 # Portfolio demo: the default solver dispatches to the parallel DP engine
-# (watch its layers and one lane_result line on stderr), then the same
-# solver under a 50ms deadline on an 18-variable parity chain — seconds
-# of DP work — stops the engine and degrades to the heuristic incumbent
-# instead of hanging.
+# over the input's symmetry orbits (watch its layers and one lane_result
+# line on stderr), then the same solver under a 50ms deadline stops the
+# engine and degrades to the heuristic incumbent instead of hanging. The
+# deadline instance is an 18-variable alternating AND/OR chain: no two of
+# its variables are symmetric (bddstats reports "symmetry: none"), so the
+# DP walks the full lattice, 18·3^17 cell operations, far more than 50ms
+# allows.
 portfolio-demo:
 	$(GO) run ./cmd/optobdd \
 		-expr 'x1&x2 | x3&x4 | x5&x6 | x7&x8' \
 		-solver portfolio -progress
 	$(GO) run ./cmd/optobdd \
-		-expr 'x1^x2^x3^x4^x5^x6^x7^x8^x9 | x10&x11&x12 | x13&x14&x15 | x16&x17&x18' \
+		-expr 'x1&(x2|(x3&(x4|(x5&(x6|(x7&(x8|(x9&(x10|(x11&(x12|(x13&(x14|(x15&(x16|(x17&!x18))))))))))))))))' \
 		-solver portfolio -deadline 50ms -progress
 
 # Scheduler demo: a deliberately contended parallel run — 8 workers over
@@ -119,14 +122,16 @@ serve-demo:
 	$(GO) run -race ./cmd/obddd -smoke
 
 # Short fuzzing sessions over the text-format parsers, the table
-# constructors, the FS-vs-brute-force differential oracle, and the
-# shared-forest engine against the serial shared DP.
+# constructors, the FS-vs-brute-force differential oracle, the
+# shared-forest engine against the serial shared DP, and the DP over
+# symmetry orbits against the full-lattice DP.
 fuzz:
 	$(GO) test -fuzz FuzzParse -fuzztime 30s ./internal/expr/
 	$(GO) test -fuzz FuzzParse -fuzztime 30s ./internal/pla/
 	$(GO) test -fuzz FuzzTruthTableNew -fuzztime 30s ./internal/truthtable/
 	$(GO) test -fuzz FuzzFSvsBrute -fuzztime 30s ./internal/core/
 	$(GO) test -fuzz FuzzSharedEngine -fuzztime 30s ./internal/core/
+	$(GO) test -fuzz FuzzOrbitEngine -fuzztime 30s ./internal/core/
 	$(GO) test -fuzz FuzzArtifactRoundTrip -fuzztime 30s ./internal/artifact/
 	$(GO) test -fuzz FuzzSolveFacade -fuzztime 30s .
 
@@ -136,6 +141,7 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzTruthTableNew -fuzztime 10s ./internal/truthtable/
 	$(GO) test -fuzz FuzzFSvsBrute -fuzztime 10s ./internal/core/
 	$(GO) test -fuzz FuzzSharedEngine -fuzztime 10s ./internal/core/
+	$(GO) test -fuzz FuzzOrbitEngine -fuzztime 10s ./internal/core/
 	$(GO) test -fuzz FuzzArtifactRoundTrip -fuzztime 10s ./internal/artifact/
 	$(GO) test -fuzz FuzzSolveFacade -fuzztime 10s .
 

@@ -127,7 +127,7 @@ func run(w io.Writer, exprSrc string, nVars int, hexSrc, orderStr string, compar
 			Profile: core.Profile(tt, ord, rule, nil),
 		})
 	}
-	groups := sym.Groups(tt)
+	groups := truthtable.Groups(tt)
 	if len(groups) < n {
 		for _, g := range groups {
 			var names []string

@@ -44,7 +44,9 @@ type Budget struct {
 	MaxCells uint64
 	// MaxNodes caps the number of DP transitions / branch-and-bound
 	// node expansions / brute-force prefix extensions. 0 means
-	// unlimited.
+	// unlimited. The default solver's DP over symmetry orbits makes
+	// fewer transitions than the full DP on the same input, so a node
+	// budget that stops the full DP may not stop it.
 	MaxNodes uint64
 }
 
@@ -65,6 +67,50 @@ func PeakCellsBound(n int) uint64 {
 		}
 	}
 	return widest + 1<<uint(n)
+}
+
+// OrbitBounds is Theorem 5's cell count and Remark 1's two-layer peak
+// for the dynamic program over the orbit lattice of a symmetry partition
+// of the variables (groups as truthtable.Groups returns them), which the
+// default solver walks. Its states are the canonical subsets, holding the
+// lowest c_g members of each group g; a layer-k state with t nonempty
+// groups makes t transitions of 2^(n−k) cells each. For the all-singleton
+// partition these are Σ k·C(n,k)·2^(n−k) and PeakCellsBound(n).
+func OrbitBounds(groups []bitops.Mask) (cellOps, peak uint64) {
+	states, trans := orbitLayers(groups)
+	n := len(states) - 1
+	var widest uint64
+	for k := 1; k <= n; k++ {
+		cellOps += trans[k] << uint(n-k)
+		if v := states[k]<<uint(n-k) + states[k-1]<<uint(n-k+1); v > widest {
+			widest = v
+		}
+	}
+	return cellOps, widest + 1<<uint(n)
+}
+
+// orbitLayers counts the orbit lattice of a partition layer by layer:
+// states[k] is the number of canonical k-subsets, the x^k coefficient of
+// Π_g (1 + x + … + x^|g|), and trans[k] sums their nonempty groups, the
+// transitions that build layer k.
+func orbitLayers(groups []bitops.Mask) (states, trans []uint64) {
+	states, trans = []uint64{1}, []uint64{0}
+	for _, g := range groups {
+		size := g.Count()
+		ns := make([]uint64, len(states)+size)
+		nt := make([]uint64, len(states)+size)
+		for k := range states {
+			for c := 0; c <= size; c++ {
+				ns[k+c] += states[k]
+				nt[k+c] += trans[k]
+				if c > 0 {
+					nt[k+c] += states[k]
+				}
+			}
+		}
+		states, trans = ns, nt
+	}
+	return states, trans
 }
 
 // limiter carries the cooperative-checkpoint state of one run: the

@@ -4,6 +4,7 @@ import (
 	"slices"
 	"testing"
 
+	"obddopt/internal/bitops"
 	"obddopt/internal/funcs"
 	"obddopt/internal/truthtable"
 )
@@ -141,6 +142,99 @@ func FuzzSharedEngine(f *testing.F) {
 		if n := roots[0].NumVars(); n <= 5 {
 			if bf := BruteForceShared(roots, opts.Rule); bf.MinCost != res.MinCost {
 				t.Fatalf("n=%d: engine cost %d, brute force %d", n, res.MinCost, bf.MinCost)
+			}
+		}
+	})
+}
+
+// decodeOrbitFuzz reads a function symmetric by construction and an
+// engine schedule from fuzz bytes. data[0] holds n (low nibble mod 9, so
+// n ≤ 8) and the rule (bit 4); data[1] the worker count (low nibble mod
+// 5, 0 being the default schedule) and the shard bits (high nibble mod
+// 3). The next n bytes label the variables (mod n); equal labels form
+// one group. The rest are the function's values, one bit per tuple of
+// per-group member counts, least significant bit first; missing bytes
+// read as zero.
+func decodeOrbitFuzz(data []byte) (*truthtable.Table, []bitops.Mask, *SolveOptions) {
+	var hdr [2]byte
+	copy(hdr[:], data)
+	data = data[min(len(data), 2):]
+	n := int(hdr[0]&0xF) % 9
+	opts := &SolveOptions{Workers: int(hdr[1]&0xF) % 5, ShardBits: int(hdr[1]>>4) % 3}
+	if hdr[0]&0x10 != 0 {
+		opts.Rule = ZDD
+	}
+	byLabel := make([]bitops.Mask, n)
+	for v := 0; v < n; v++ {
+		label := 0
+		if v < len(data) {
+			label = int(data[v]) % n
+		}
+		byLabel[label] = byLabel[label].With(v)
+	}
+	values := data[min(len(data), n):]
+	var groups []bitops.Mask
+	for _, g := range byLabel {
+		if g != 0 {
+			groups = append(groups, g)
+		}
+	}
+	tt := truthtable.New(n)
+	for idx := uint64(0); idx < tt.Size(); idx++ {
+		// Mixed-radix index of the per-group counts: invariant under
+		// any exchange inside a group.
+		tuple, radix := uint64(0), uint64(1)
+		for _, g := range groups {
+			tuple += radix * uint64((bitops.Mask(idx) & g).Count())
+			radix *= uint64(g.Count() + 1)
+		}
+		if i := tuple / 8; i < uint64(len(values)) {
+			tt.Set(idx, values[i]>>(tuple%8)&1 == 1)
+		}
+	}
+	return tt, groups, opts
+}
+
+// FuzzOrbitEngine cross-validates the DP over symmetry orbits against
+// the serial full-lattice DP on functions symmetric by construction:
+// under the decoded partition and schedule, and under the portfolio's
+// own detected groups, MinCost, Ordering and Profile must be identical,
+// Meter.CellOps must equal OrbitBounds' closed form, and every cell must
+// be released. Explore with `go test -fuzz FuzzOrbitEngine ./internal/core`.
+func FuzzOrbitEngine(f *testing.F) {
+	f.Add([]byte{0x08, 0x00, 0, 0, 0, 0, 0, 0, 0, 0, 0x96, 0x01})                   // totally symmetric n=8
+	f.Add([]byte{0x18, 0x12, 0, 0, 1, 1, 2, 2, 3, 3, 0xe8, 0xfe, 0x80, 0x7f, 0x11}) // four pairs, ZDD
+	f.Add([]byte{0x07, 0x21, 0, 1, 2, 0, 1, 2, 3, 0xa5, 0x3c, 0x0f, 0xf0, 0x69})    // interleaved triples
+	f.Add([]byte{0x06, 0x03, 0, 1, 2, 3, 4, 5, 0x12, 0x34, 0x56, 0x78, 0x9a, 0xbc}) // all singletons
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tt, groups, opts := decodeOrbitFuzz(data)
+		want, err := OptimalOrderingCtx(nil, tt, &SolveOptions{Rule: opts.Rule})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, run := range []struct {
+			groups []bitops.Mask
+			solve  func(*SolveOptions) (*Result, error)
+		}{
+			{groups, func(o *SolveOptions) (*Result, error) { return optimalOrderingOrbits(nil, tt, groups, o) }},
+			{truthtable.Groups(tt), func(o *SolveOptions) (*Result, error) { return Portfolio(nil, tt, o) }},
+		} {
+			m := &Meter{}
+			o := *opts
+			o.Meter = m
+			got, err := run.solve(&o)
+			if err != nil {
+				t.Fatalf("groups %v: %v", run.groups, err)
+			}
+			if got.MinCost != want.MinCost || !slices.Equal(got.Ordering, want.Ordering) || !slices.Equal(got.Profile, want.Profile) {
+				t.Fatalf("groups %v (w=%d sb=%d): orbit %d %v %v, fs %d %v %v", run.groups, o.Workers, o.ShardBits,
+					got.MinCost, got.Ordering, got.Profile, want.MinCost, want.Ordering, want.Profile)
+			}
+			if ops, _ := OrbitBounds(run.groups); m.CellOps != ops {
+				t.Fatalf("groups %v: CellOps %d, closed form %d", run.groups, m.CellOps, ops)
+			}
+			if m.LiveCells != 0 {
+				t.Fatalf("groups %v: %d live cells after the run", run.groups, m.LiveCells)
 			}
 		}
 	})

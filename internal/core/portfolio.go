@@ -39,7 +39,8 @@ type SolveOptions struct {
 	Budget Budget
 	// Workers is the goroutine count of the work-stealing DP engine, as
 	// run by the parallel solver, the portfolio and
-	// OptimalOrderingSharedParallel; 0 selects GOMAXPROCS.
+	// OptimalOrderingSharedParallel; 0 selects GOMAXPROCS, or one worker
+	// on the calling goroutine when the run is small (see runEngine).
 	Workers int
 	// ShardBits overrides the work-stealing scheduler's shard granularity:
 	// when positive, each popcount layer is split into shards of 2^ShardBits
@@ -184,14 +185,18 @@ func init() {
 
 // Portfolio is the registered "portfolio" solver, the default of Solve
 // and /v1/solve. It dispatches on closed forms the paper gives before a
-// run starts instead of racing solvers to learn which finishes first:
-// the Friedman–Supowit DP does n·3^(n−1) cell operations on every input
-// (Theorem 5) and holds at most PeakCellsBound(n) live cells (Remark 1).
+// run starts instead of racing solvers to learn which finishes first.
+// It first detects tt's symmetry groups (truthtable.Groups); the
+// Friedman–Supowit DP over their orbit lattice does OrbitBounds' cell
+// operations (Theorem 5's n·3^(n−1) when every group is a singleton) and
+// holds at most its peak of live cells (Remark 1; PeakCellsBound(n) for
+// singletons).
 //
-//   - The work-stealing DP engine (OptimalOrderingParallel, under the
-//     caller's Workers/ShardBits/Pinned schedule) runs at every n.
+//   - The work-stealing DP engine runs at every n, over the orbit
+//     lattice, under the caller's Workers/ShardBits/Pinned schedule.
+//     Its result is bit-identical to OptimalOrderingParallel's.
 //   - Branch-and-bound, seeded one above the heuristic phase's cost,
-//     runs instead only when Budget.MaxCells is below PeakCellsBound(n):
+//     runs instead only when Budget.MaxCells is below the orbit peak:
 //     the DP cannot finish there, while the search holds only one DFS
 //     path of tables, about 2^(n+1) cells.
 //
@@ -212,9 +217,12 @@ func Portfolio(ctx stdctx.Context, tt *truthtable.Table, opts *SolveOptions) (*R
 	}
 	m := o.Meter
 
+	groups := truthtable.Groups(tt)
 	engine := "parallel"
-	if o.Budget.MaxCells > 0 && o.Budget.MaxCells < PeakCellsBound(tt.NumVars()) {
-		engine = "bnb"
+	if o.Budget.MaxCells > 0 {
+		if _, peak := OrbitBounds(groups); o.Budget.MaxCells < peak {
+			engine = "bnb"
+		}
 	}
 	var inc *Result
 	if engine == "bnb" {
@@ -234,7 +242,7 @@ func Portfolio(ctx stdctx.Context, tt *truthtable.Table, opts *SolveOptions) (*R
 		}
 		res, err = BranchAndBoundCtx(ctx, tt, bo)
 	} else {
-		res, err = OptimalOrderingParallel(ctx, tt, &o)
+		res, err = optimalOrderingOrbits(ctx, tt, groups, &o)
 	}
 	elapsed := time.Since(start)
 	obs.Hist(obs.HistNameLaneWall, "lane", engine).RecordDuration(elapsed)

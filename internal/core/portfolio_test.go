@@ -13,7 +13,10 @@ import (
 	"testing"
 	"time"
 
+	"obddopt/internal/bitops"
+	"obddopt/internal/conformance"
 	"obddopt/internal/core"
+	"obddopt/internal/funcs"
 	_ "obddopt/internal/heuristics" // installs core.DefaultSeeder
 	"obddopt/internal/obs"
 	"obddopt/internal/truthtable"
@@ -68,11 +71,129 @@ func TestPortfolioMatchesParallel(t *testing.T) {
 	}
 }
 
+// TestPortfolioOrbitMatchesFS is the bit-identity property of the DP
+// over symmetry orbits: on every conformance family (the symmetric,
+// threshold, achilles, readonce and sparse ones carry symmetry groups),
+// both rules, n 3–12 and every schedule (workers × shard bits ×
+// pinning), the portfolio's MinCost, Ordering and Profile equal the
+// serial full-lattice DP's.
+func TestPortfolioOrbitMatchesFS(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for _, fam := range conformance.Families() {
+		for _, rule := range []core.Rule{core.OBDD, core.ZDD} {
+			for n := 3; n <= 12; n++ {
+				tt := fam.New(n, rng)
+				want, err := core.OptimalOrderingCtx(stdctx.Background(), tt, &core.SolveOptions{Rule: rule})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, workers := range []int{1, 2, 4} {
+					for _, shardBits := range []int{0, 1} {
+						for _, pinned := range []bool{false, true} {
+							opts := &core.SolveOptions{Rule: rule, Workers: workers, ShardBits: shardBits, Pinned: pinned}
+							got, err := core.Portfolio(stdctx.Background(), tt, opts)
+							if err != nil {
+								t.Fatalf("%s %v n=%d %+v: %v", fam.Name, rule, n, opts, err)
+							}
+							if got.MinCost != want.MinCost || !reflect.DeepEqual(got.Ordering, want.Ordering) || !reflect.DeepEqual(got.Profile, want.Profile) {
+								t.Fatalf("%s %v n=%d groups %v w=%d sb=%d pinned=%v: portfolio %d %v %v, fs %d %v %v",
+									fam.Name, rule, n, truthtable.Groups(tt), workers, shardBits, pinned,
+									got.MinCost, got.Ordering, got.Profile, want.MinCost, want.Ordering, want.Profile)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPortfolioOrbitLayerEvents pins what an orbit run reports: n
+// layer_end events whose CellOps sum to the meter's, which equals
+// OrbitBounds' closed form; Subsets counting the canonical subsets, one
+// per orbit, Π(|g|+1) − 1 over the layers; every cell released.
+func TestPortfolioOrbitLayerEvents(t *testing.T) {
+	for _, tt := range []*truthtable.Table{
+		funcs.Threshold(11, 4), // one group of 11
+		funcs.AchillesHeel(5),  // five pairs
+		funcs.AdderCarry(4),    // four pairs, interleaved
+		funcs.Comparator(4),    // no symmetry: the full lattice
+	} {
+		n := tt.NumVars()
+		groups := truthtable.Groups(tt)
+		orbits := 1
+		for _, g := range groups {
+			orbits *= g.Count() + 1
+		}
+		wantOps, _ := core.OrbitBounds(groups)
+		rec := obs.NewRecorder()
+		m := &core.Meter{}
+		if _, err := core.Portfolio(stdctx.Background(), tt, &core.SolveOptions{Meter: m, Trace: rec}); err != nil {
+			t.Fatal(err)
+		}
+		if got := rec.Count(obs.KindLayerEnd); got != n {
+			t.Errorf("n=%d groups %v: %d layer_end events, want %d", n, groups, got, n)
+		}
+		if sum := rec.SumCellOps(obs.KindLayerEnd); sum != m.CellOps || m.CellOps != wantOps {
+			t.Errorf("n=%d groups %v: layer_end CellOps %d, Meter.CellOps %d, OrbitBounds %d", n, groups, sum, m.CellOps, wantOps)
+		}
+		subsets := 0
+		for _, ev := range rec.Events() {
+			if ev.Kind == obs.KindLayerEnd {
+				subsets += ev.Subsets
+			}
+		}
+		if subsets != orbits-1 {
+			t.Errorf("n=%d groups %v: layer_end Subsets sum to %d, want %d", n, groups, subsets, orbits-1)
+		}
+		if m.LiveCells != 0 {
+			t.Errorf("n=%d groups %v: LiveCells = %d after the run", n, groups, m.LiveCells)
+		}
+	}
+}
+
+// TestPortfolioOrbitStealStorm drives the orbit run through the
+// scheduler's contended regime (8 workers over 2-rank shards, most of
+// them non-canonical and skipped); meaningful under -race, and still
+// bit-identical to the serial DP.
+func TestPortfolioOrbitStealStorm(t *testing.T) {
+	for _, tt := range []*truthtable.Table{funcs.AchillesHeel(5), funcs.Threshold(10, 3), funcs.AdderCarry(5)} {
+		want := core.OptimalOrdering(tt, nil)
+		got, err := core.Portfolio(stdctx.Background(), tt, &core.SolveOptions{Workers: 8, ShardBits: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.MinCost != want.MinCost || !reflect.DeepEqual(got.Ordering, want.Ordering) {
+			t.Fatalf("groups %v: steal-storm %d %v, fs %d %v", truthtable.Groups(tt), got.MinCost, got.Ordering, want.MinCost, want.Ordering)
+		}
+	}
+}
+
+// TestOrbitBoundsFullLattice pins the closed forms on the all-singleton
+// partition: Theorem 5's Σ k·C(n,k)·2^(n−k) cell operations and Remark
+// 1's PeakCellsBound(n).
+func TestOrbitBoundsFullLattice(t *testing.T) {
+	for n := 1; n <= 20; n++ {
+		groups := make([]bitops.Mask, n)
+		var want uint64
+		for k := 1; k <= n; k++ {
+			groups[k-1] = bitops.Mask(0).With(k - 1)
+			want += uint64(k) * bitops.Binomial(n, k) << uint(n-k)
+		}
+		ops, peak := core.OrbitBounds(groups)
+		if ops != want || peak != core.PeakCellsBound(n) {
+			t.Errorf("n=%d: OrbitBounds = (%d, %d), want (%d, %d)", n, ops, peak, want, core.PeakCellsBound(n))
+		}
+	}
+}
+
 // TestPortfolioCellBudgetRunsBnB pins the one branch off the DP: a
 // MaxCells one below Remark 1's closed-form peak rules the DP out, so the
 // portfolio seeds branch-and-bound with the heuristic phase and returns
 // the fs optimum, proven. At the peak itself the dispatch picks the DP
-// engine, whose three-layer window may still overrun the budget.
+// engine, whose three-layer window may still overrun the budget. On a
+// symmetric input the peak is the orbit lattice's, so a budget between
+// it and PeakCellsBound(n) runs the DP.
 func TestPortfolioCellBudgetRunsBnB(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for _, rule := range []core.Rule{core.OBDD, core.ZDD} {
@@ -105,31 +226,66 @@ func TestPortfolioCellBudgetRunsBnB(t *testing.T) {
 				t.Errorf("rule %v n=%d MaxCells at the peak: lane_result events %+v, want parallel first", rule, n, lanes)
 			}
 		}
+
+		// Symmetric: four times the orbit peak, clear of the engine's
+		// three-layer band, is still far below PeakCellsBound(n).
+		tt := funcs.Threshold(10, 4)
+		_, orbitPeak := core.OrbitBounds(truthtable.Groups(tt))
+		budget := 4 * orbitPeak
+		if budget >= core.PeakCellsBound(10) {
+			t.Fatalf("orbit peak %d leaves no room below PeakCellsBound(10) = %d", orbitPeak, core.PeakCellsBound(10))
+		}
+		want := core.OptimalOrdering(tt, &core.SolveOptions{Rule: rule})
+		rec := obs.NewRecorder()
+		m := &core.Meter{}
+		got, err := core.Portfolio(stdctx.Background(), tt, &core.SolveOptions{Rule: rule, Meter: m, Trace: rec, Budget: core.Budget{MaxCells: budget}})
+		if err != nil || got.MinCost != want.MinCost || !reflect.DeepEqual(got.Ordering, want.Ordering) {
+			t.Errorf("rule %v symmetric MaxCells=%d: %+v, %v; want fs %d %v", rule, budget, got, err, want.MinCost, want.Ordering)
+		}
+		if lanes := laneResults(rec); len(lanes) != 1 || lanes[0].Lane != "parallel" {
+			t.Errorf("rule %v symmetric MaxCells=%d: lane_result events %+v, want parallel only", rule, budget, lanes)
+		}
+		if m.PeakCells > budget {
+			t.Errorf("rule %v symmetric: DP peaked at %d cells over a %d budget", rule, m.PeakCells, budget)
+		}
+		rec = obs.NewRecorder()
+		_, _ = core.Portfolio(stdctx.Background(), tt, &core.SolveOptions{Rule: rule, Trace: rec, Budget: core.Budget{MaxCells: orbitPeak - 1}})
+		if lanes := laneResults(rec); len(lanes) != 2 || lanes[1].Lane != "bnb" {
+			t.Errorf("rule %v symmetric MaxCells one below the orbit peak: lane_result events %+v, want heuristic then bnb", rule, lanes)
+		}
 	}
 }
 
 // TestPortfolioEarlyStopIncumbent pins the early-stop contract on both
-// branches: a node-budget or deadline stop runs the seeder and returns
+// branches, and on the DP over symmetry orbits (five pairs): a
+// node-budget, deadline or cancellation stop runs the seeder and returns
 // its valid, unproven ordering (or branch-and-bound's, when better)
 // alongside the error, with every metered cell released.
 func TestPortfolioEarlyStopIncumbent(t *testing.T) {
 	const n = 10
-	tt := truthtable.Random(n, rand.New(rand.NewSource(41)))
+	random := truthtable.Random(n, rand.New(rand.NewSource(41)))
+	pairs := funcs.AchillesHeel(n / 2)
 	expired, cancel := stdctx.WithDeadline(stdctx.Background(), time.Now().Add(-time.Second))
 	defer cancel()
+	canceled, cancelNow := stdctx.WithCancel(stdctx.Background())
+	cancelNow()
 	small := core.PeakCellsBound(n) / 2
 	for _, tc := range []struct {
 		name   string
+		tt     *truthtable.Table
 		ctx    stdctx.Context
 		budget core.Budget
 		want   error
 		lanes  []string
 	}{
-		{"parallel/max-nodes", stdctx.Background(), core.Budget{MaxNodes: 30}, core.ErrBudgetExceeded, []string{"parallel", "heuristic"}},
-		{"parallel/deadline", expired, core.Budget{}, core.ErrCanceled, []string{"parallel", "heuristic"}},
-		{"bnb/max-nodes", stdctx.Background(), core.Budget{MaxCells: small, MaxNodes: 30}, core.ErrBudgetExceeded, []string{"heuristic", "bnb"}},
-		{"bnb/deadline", expired, core.Budget{MaxCells: small}, core.ErrCanceled, []string{"heuristic", "bnb"}},
+		{"parallel/max-nodes", random, stdctx.Background(), core.Budget{MaxNodes: 30}, core.ErrBudgetExceeded, []string{"parallel", "heuristic"}},
+		{"parallel/deadline", random, expired, core.Budget{}, core.ErrCanceled, []string{"parallel", "heuristic"}},
+		{"bnb/max-nodes", random, stdctx.Background(), core.Budget{MaxCells: small, MaxNodes: 30}, core.ErrBudgetExceeded, []string{"heuristic", "bnb"}},
+		{"bnb/deadline", random, expired, core.Budget{MaxCells: small}, core.ErrCanceled, []string{"heuristic", "bnb"}},
+		{"orbit/max-nodes", pairs, stdctx.Background(), core.Budget{MaxNodes: 20}, core.ErrBudgetExceeded, []string{"parallel", "heuristic"}},
+		{"orbit/pre-canceled", pairs, canceled, core.Budget{}, core.ErrCanceled, []string{"parallel", "heuristic"}},
 	} {
+		tt := tc.tt
 		rec := obs.NewRecorder()
 		m := &core.Meter{}
 		res, err := core.Portfolio(tc.ctx, tt, &core.SolveOptions{Meter: m, Trace: rec, Budget: tc.budget})

@@ -311,7 +311,7 @@ func OptimalOrderingSharedParallel(ctx stdctx.Context, tts []*truthtable.Table, 
 	m := meterFor(opts.meter(), opts.budget())
 	base := baseContextShared(tts)
 	m.alloc(base.cells())
-	minCost, order, err := runEngine(ctx, base, opts, m)
+	minCost, order, err := runEngine(ctx, base, singletons(base.n), opts, m)
 	m.free(base.cells())
 	if err != nil {
 		return nil, err

@@ -54,8 +54,8 @@ import (
 //     those cells, countable with a generation-stamped direct-index
 //     array when every label fits in 16 bits.
 //
-// Costs, parents and tie-breaking replicate fs.go exactly (minimum
-// cost, ties to the smallest member position), so results are
+// Costs and tie-breaking replicate fs.go exactly (minimum cost, ties to
+// the smallest member position, see Orbits below), so results are
 // bit-identical to the serial solver at every worker count and shard
 // size. Cell-operation metering is also identical: every candidate —
 // built or counted — is charged size cells, the unit of Theorem 5.
@@ -64,6 +64,21 @@ import (
 // at most three — layer k−1 is released by the unique completer of
 // layer k, and spawning is gated so layer k+1 may only start once layer
 // k−1 is complete. See DESIGN.md for the liveness argument.
+//
+// Orbits: a run walks the orbit lattice of a symmetry partition of the
+// variables (the full lattice is the all-singleton partition). When
+// x_i and x_j are symmetric in f, exchanging them maps f to itself, so by
+// relabeling invariance and Lemma 3 MINCOST_I = MINCOST_σ(I), and every
+// member of one group contributes the same candidate value at a set.
+// The run therefore keeps one subset per orbit, the canonical one that
+// holds the lowest members of each group: other ranks are skipped
+// outright, and a canonical destination tries only the highest member
+// of each group it contains, whose predecessor is canonical again.
+// Every canonical rank records the mask of its minimizing candidates,
+// and reconstruction picks, at each actual set, the lowest member of any
+// group that minimizes at the set's canonical representative — exactly
+// the full DP's parent (lowest cost, then smallest variable), since
+// values depend only on the group.
 
 // wsTask identifies one shard of one layer.
 type wsTask struct {
@@ -129,15 +144,17 @@ type wsLayer struct {
 	// Monotone in s (lattice.MaxPredRank), so shards unlock in order.
 	watermark []uint64
 
-	// Per-rank results, written by exactly one shard each. tables[r] is
-	// freed (set nil) by the completer of layer k+1. bases[r] is the
-	// first fresh node ID for compactions reading tables[r] — the
-	// built table's ID ceiling, which exceeds nTerm+costs[r] whenever
-	// the built candidate lost the cost comparison.
-	tables  [][]uint32
-	costs   []uint64
-	bases   []uint32
-	parents []uint8
+	// Per-rank results, written by exactly one shard each and only for
+	// canonical ranks. tables[r] is freed (set nil) by the completer of
+	// layer k+1. bases[r] is the first fresh node ID for compactions
+	// reading tables[r] — the built table's ID ceiling, which exceeds
+	// nTerm+costs[r] whenever the built candidate lost the cost
+	// comparison. argmin[r] is the mask of the candidates reaching
+	// costs[r] (truthtable.MaxVars = 30 bits fit).
+	tables [][]uint32
+	costs  []uint64
+	bases  []uint32
+	argmin []uint32
 
 	spawned   atomic.Int64 // shards claimed so far (next to claim)
 	frontier  atomic.Int64 // contiguous completed shard prefix
@@ -184,7 +201,8 @@ func (wk *wsWorker) nextGen() uint32 {
 	return wk.gen
 }
 
-// wsEngine is one work-stealing DP run over the full variable set.
+// wsEngine is one work-stealing DP run over the orbit lattice of a
+// symmetry partition of the full variable set.
 type wsEngine struct {
 	n         int
 	rule      Rule
@@ -196,6 +214,15 @@ type wsEngine struct {
 	deques    []wsDeque
 	pinned    bool
 	tr        obs.Tracer
+
+	// groups is the partition, group[v] the group holding variable v,
+	// and upper the members that are not the lowest of their group —
+	// the only ones a canonical test must look at (none for the full
+	// lattice). states[k] counts layer k's canonical subsets.
+	groups []bitops.Mask
+	group  []bitops.Mask
+	upper  bitops.Mask
+	states []uint64
 
 	ctx    stdctx.Context
 	budget Budget
@@ -308,25 +335,37 @@ func wsShardSize(count uint64, workers, shardBits int) uint64 {
 }
 
 // newWSEngine lays out every layer's result arrays, shard table and
-// watermarks. The layer-0 pseudo-layer wraps the caller-owned base
-// context and is born complete.
-func newWSEngine(ctx stdctx.Context, base *fsContext, rule Rule, workers int, shardBits int, pinned bool, budget Budget, tr obs.Tracer) *wsEngine {
+// watermarks for a run over the orbit lattice of groups, under opts'
+// rule, budget, trace, shard bits and pinning. The layer-0 pseudo-layer
+// wraps the caller-owned base context and is born complete.
+func newWSEngine(ctx stdctx.Context, base *fsContext, groups []bitops.Mask, workers int, opts *SolveOptions) *wsEngine {
 	n := base.n
 	rk := lattice.For(n)
+	budget := opts.budget()
+	states, _ := orbitLayers(groups)
 	e := &wsEngine{
 		n:         n,
-		rule:      rule,
+		rule:      opts.rule(),
 		base:      base,
 		baseCells: base.cells(),
 		rk:        rk,
-		pinned:    pinned,
-		tr:        tr,
+		pinned:    opts.pinnedSchedule(),
+		tr:        opts.trace(),
+		groups:    groups,
+		group:     make([]bitops.Mask, n),
+		states:    states,
 		ctx:       ctx,
 		budget:    budget,
 		checks:    ctx != nil || !budget.zero(),
 		layers:    make([]*wsLayer, n+1),
 		deques:    make([]wsDeque, workers),
 		workers:   make([]*wsWorker, workers),
+	}
+	for _, g := range groups {
+		for t := uint64(g); t != 0; t &= t - 1 {
+			e.group[bits.TrailingZeros64(t)] = g
+		}
+		e.upper |= g.Without(g.Lowest())
 	}
 	for w := range e.workers {
 		e.workers[w] = &wsWorker{
@@ -351,7 +390,7 @@ func newWSEngine(ctx stdctx.Context, base *fsContext, rule Rule, workers int, sh
 
 	for k := 1; k <= n; k++ {
 		count := rk.LayerSize(k)
-		size := wsShardSize(count, workers, shardBits)
+		size := wsShardSize(count, workers, opts.shardBits())
 		nShards := int((count + size - 1) / size)
 		l := &wsLayer{
 			k:         k,
@@ -363,7 +402,7 @@ func newWSEngine(ctx stdctx.Context, base *fsContext, rule Rule, workers int, sh
 			tables:    make([][]uint32, count),
 			costs:     make([]uint64, count),
 			bases:     make([]uint32, count),
-			parents:   make([]uint8, count),
+			argmin:    make([]uint32, count),
 			done:      make([]atomic.Bool, nShards),
 		}
 		l.remaining.Store(int64(nShards))
@@ -378,6 +417,31 @@ func newWSEngine(ctx stdctx.Context, base *fsContext, rule Rule, workers int, sh
 	}
 	e.spawnLo.Store(1)
 	return e
+}
+
+// canonical reports whether s is its orbit's representative: for every
+// member v, the members of v's group below v are in s too.
+func (e *wsEngine) canonical(s bitops.Mask) bool {
+	for t := uint64(s & e.upper); t != 0; t &= t - 1 {
+		v := bits.TrailingZeros64(t)
+		if e.group[v]&(1<<uint(v)-1)&^s != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// canon maps s to its orbit's representative: as many members of each
+// group as s holds, lowest first.
+func (e *wsEngine) canon(s bitops.Mask) bitops.Mask {
+	var c bitops.Mask
+	for _, g := range e.groups {
+		for k := (s & g).Count(); k > 0; k-- {
+			c |= g & -g
+			g &= g - 1
+		}
+	}
+	return c
 }
 
 // claim scans the spawn window for eligible shards and pushes up to
@@ -412,7 +476,7 @@ func (e *wsEngine) claim(w int) bool {
 			}
 			if s == 0 && e.tr != nil {
 				l.startNS.Store(time.Now().UnixNano())
-				e.tr.Emit(obs.Event{Kind: obs.KindLayerStart, K: j, Subsets: int(prev.count)})
+				e.tr.Emit(obs.Event{Kind: obs.KindLayerStart, K: j, Subsets: int(e.states[j-1])})
 			}
 			e.deques[w].push(wsTask{layer: j, shard: int(s)})
 			claimed++
@@ -473,10 +537,12 @@ func (e *wsEngine) run(w int) {
 	}
 }
 
-// runShard compacts every destination of one shard: for each dest, one
-// real compaction from the smallest-member predecessor plus a width-
-// counting pass per remaining predecessor (or, above the 16-bit label
-// ceiling, a full compaction per predecessor, serial-style).
+// runShard compacts every canonical destination of one shard: for each,
+// one real compaction from the smallest candidate's predecessor plus a
+// width-counting pass per remaining candidate (or, above the 16-bit
+// label ceiling, a full compaction per candidate, serial-style). The
+// candidates are the highest member of each group the destination
+// meets — every member, on the full lattice.
 func (e *wsEngine) runShard(w int, t wsTask) {
 	wk := e.workers[w]
 	l := e.layers[t.layer]
@@ -494,28 +560,38 @@ func (e *wsEngine) runShard(w int, t wsTask) {
 	aborted := false
 
 	for r := lo; r < hi; r++ {
+		if r > lo {
+			rel, _ = bitops.NextSubsetSameSize(rel, e.n)
+		}
+		if !e.canonical(rel) {
+			continue // another rank of the orbit carries its value
+		}
 		e.rk.PredRanks(rel, preds)
 		var (
 			dst      []uint32
-			best     uint64
-			bestP    uint8
+			best     = ^uint64(0)
+			argmin   uint32
 			idCap    uint32
 			canCount bool
 		)
 		i := 0
 		for rest := uint64(rel); rest != 0; rest &= rest - 1 {
 			p := bits.TrailingZeros64(rest)
-			if !e.checkpoint() {
-				aborted = true
-				break
-			}
-			pr := preds[i]
-			prevTable := prev.tables[pr]
-			prevCost := prev.costs[pr]
 			// p is the (i+1)-th member of rel, so i smaller members of
 			// rel remain absorbed in the predecessor and p sits at free
 			// position p−i of the predecessor's table.
 			pos := uint(p - i)
+			pr := preds[i]
+			i++
+			if (rel&e.group[p])>>uint(p+1) != 0 {
+				continue // a higher member of p's group is the candidate
+			}
+			if !e.checkpoint() {
+				aborted = true
+				break
+			}
+			prevTable := prev.tables[pr]
+			var cand uint64
 			switch {
 			case dst == nil:
 				id0 := prev.bases[pr]
@@ -527,20 +603,12 @@ func (e *wsEngine) runShard(w int, t wsTask) {
 				}
 				resetDedup(&wk.ws.dd, size, id0)
 				width := compactInto(dst, prevTable, pos, e.rule, id0, &wk.ws.dd)
-				wk.meter.addCells(size)
-				layerOps += size
-				best = prevCost + width
-				bestP = uint8(p)
+				cand = prev.costs[pr] + width
 				idCap = id0 + uint32(width)
 				canCount = uint64(idCap) <= 1<<16
 			case canCount:
 				gen := wk.nextGen()
-				width := countWidth(prevTable, pos, e.rule, dst, wk.seen, gen)
-				wk.meter.addCells(size)
-				layerOps += size
-				if cand := prevCost + width; cand < best {
-					best, bestP = cand, uint8(p)
-				}
+				cand = prev.costs[pr] + countWidth(prevTable, pos, e.rule, dst, wk.seen, gen)
 			default:
 				// Wide mode (node IDs past 2^16): no direct-index label
 				// set, so cost this candidate with a full compaction and
@@ -556,19 +624,25 @@ func (e *wsEngine) runShard(w int, t wsTask) {
 				}
 				resetDedup(&wk.ws.dd, size, id0)
 				width := compactInto(alt, prevTable, pos, e.rule, id0, &wk.ws.dd)
-				wk.meter.addCells(size)
-				layerOps += size
-				if cand := prevCost + width; cand < best {
-					wk.ws.ar.PutU32(dst)
-					e.gaugeFree(size)
-					dst, best, bestP = alt, cand, uint8(p)
+				cand = prev.costs[pr] + width
+				if cand < best {
+					alt, dst = dst, alt
 					idCap = id0 + uint32(width)
-				} else {
-					wk.ws.ar.PutU32(alt)
-					e.gaugeFree(size)
 				}
+				wk.ws.ar.PutU32(alt)
+				e.gaugeFree(size)
 			}
-			i++
+			if aborted {
+				break
+			}
+			wk.meter.addCells(size)
+			layerOps += size
+			switch {
+			case cand < best:
+				best, argmin = cand, 1<<uint(p)
+			case cand == best:
+				argmin |= 1 << uint(p)
+			}
 		}
 		if aborted {
 			if dst != nil {
@@ -580,10 +654,7 @@ func (e *wsEngine) runShard(w int, t wsTask) {
 		l.tables[r] = dst
 		l.costs[r] = best
 		l.bases[r] = idCap
-		l.parents[r] = bestP
-		if r+1 < hi {
-			rel, _ = bitops.NextSubsetSameSize(rel, e.n)
-		}
+		l.argmin[r] = argmin
 	}
 
 	l.ops.Add(layerOps)
@@ -612,24 +683,27 @@ func (e *wsEngine) completeLayer(w int, j int) {
 	l := e.layers[j]
 	if j > 1 {
 		prev := e.layers[j-1]
+		var freed uint64
 		for r, tbl := range prev.tables {
 			if tbl != nil {
 				// Blocks migrate to the completer's arena; arenas are
 				// origin-agnostic by contract (see internal/core/arena).
 				e.workers[w].ws.ar.PutU32(tbl)
 				prev.tables[r] = nil
+				freed++
 			}
 		}
-		e.gaugeFree(prev.count * prev.cells)
+		e.gaugeFree(freed * prev.cells)
 	}
 	ops := l.ops.Load()
 	obs.Metrics.CellOps.Add(ops)
-	obs.Metrics.Compactions.Add(uint64(j) * l.count)
+	// Every transition into layer j is charged one l.cells-cell table.
+	obs.Metrics.Compactions.Add(ops / l.cells)
 	if e.tr != nil {
 		ev := obs.Event{
 			Kind:    obs.KindLayerEnd,
 			K:       j,
-			Subsets: int(l.count),
+			Subsets: int(e.states[j]),
 			CellOps: ops,
 			Elapsed: time.Duration(time.Now().UnixNano() - l.startNS.Load()),
 		}
@@ -744,31 +818,47 @@ func (e *wsEngine) releaseAll() {
 	releaseCapped(wss, uint64(e.peak.Load()))
 }
 
+// engineInlineCellOps is the closed-form cell-operation count below
+// which a default-schedule run (Workers 0) uses one worker on the calling
+// goroutine instead of GOMAXPROCS: under it, spawning, joining and idle
+// backoff cost more than a second worker saves. On a 2-core VM, one
+// inline worker solved a random n = 9 table (59,049 cell operations)
+// in 0.90× the time of two workers, and a random n = 10 table (196,830)
+// in 1.09×, so random tables cross it between n = 9 and n = 10.
+const engineInlineCellOps = 1 << 17
+
 // runEngine is the driver of the work-stealing pipeline over a
-// caller-owned base context: it spawns the workers, merges their lane
+// caller-owned base context and the orbit lattice of groups: it runs
+// worker 0 on the calling goroutine beside the others, merges their lane
 // meters and the engine's cell gauge into m at run granularity, walks
-// the parent pointers from the full set back down, and releases every
-// engine-owned table. The base's own cells stay the caller's to meter.
-// It returns the minimum cost and a bottom-up optimal ordering, or the
-// engine's ErrCanceled / ErrBudgetExceeded with m's LiveCells back where
-// they were. opts.Workers 0 selects GOMAXPROCS.
-func runEngine(ctx stdctx.Context, base *fsContext, opts *SolveOptions, m *Meter) (uint64, truthtable.Ordering, error) {
+// the minimizing-candidate masks from the full set back down, and
+// releases every engine-owned table. The base's own cells stay the
+// caller's to meter. It returns the minimum cost and a bottom-up optimal
+// ordering, or the engine's ErrCanceled / ErrBudgetExceeded with m's
+// LiveCells back where they were. opts.Workers 0 selects one worker when
+// the run's cell operations (OrbitBounds times the root count) are below
+// engineInlineCellOps, and GOMAXPROCS otherwise.
+func runEngine(ctx stdctx.Context, base *fsContext, groups []bitops.Mask, opts *SolveOptions, m *Meter) (uint64, truthtable.Ordering, error) {
 	workers := opts.workers()
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
+		if ops, _ := OrbitBounds(groups); ops*(base.cells()>>uint(base.n)) < engineInlineCellOps {
+			workers = 1
+		}
 	}
 	obs.Metrics.RunsStarted.Inc()
-	obs.Metrics.WorkerSpawns.Add(uint64(workers))
-	e := newWSEngine(ctx, base, opts.rule(), workers, opts.shardBits(), opts.pinnedSchedule(), opts.budget(), opts.trace())
+	obs.Metrics.WorkerSpawns.Add(uint64(workers - 1))
+	e := newWSEngine(ctx, base, groups, workers, opts)
 
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			e.run(w)
 		}(w)
 	}
+	e.run(0)
 	wg.Wait()
 
 	// All workers have joined: merge the per-worker lane meters (the
@@ -801,12 +891,19 @@ func runEngine(ctx stdctx.Context, base *fsContext, opts *SolveOptions, m *Meter
 	m.alloc(peak)
 	m.free(peak - final)
 
+	// The full DP's parent at rel is its smallest member whose value is
+	// minimal; values depend only on the group, so that is the lowest
+	// member of rel in any group minimizing at rel's representative.
 	n := e.n
 	minCost := e.layers[n].costs[0]
 	order := make(truthtable.Ordering, n)
 	rel := bitops.FullMask(n)
 	for j := n; j >= 1; j-- {
-		p := int(e.layers[j].parents[e.rk.Rank(rel)])
+		var minGroups bitops.Mask
+		for t := uint64(e.layers[j].argmin[e.rk.Rank(e.canon(rel))]); t != 0; t &= t - 1 {
+			minGroups |= e.group[bits.TrailingZeros64(t)]
+		}
+		p := (rel & minGroups).Lowest()
 		order[j-1] = p
 		rel = rel.Without(p)
 	}
@@ -816,11 +913,12 @@ func runEngine(ctx stdctx.Context, base *fsContext, opts *SolveOptions, m *Meter
 }
 
 // OptimalOrderingParallel runs the Friedman–Supowit dynamic program on
-// the work-stealing layer pipeline above: popcount layers are sharded
-// over opts.Workers goroutines (0 selects GOMAXPROCS) with deque-based
-// work stealing, and workers flow into the next layer as soon as its
-// predecessor watermark is covered instead of waiting at a layer
-// barrier. Results — cost, ordering, tie-breaking, profile — are
+// the work-stealing layer pipeline above, over the full subset lattice:
+// popcount layers are sharded over opts.Workers goroutines (0 selects
+// GOMAXPROCS, or one inline worker for small runs, see runEngine) with
+// deque-based work stealing, and workers flow into the next layer as
+// soon as its predecessor watermark is covered instead of waiting at a
+// layer barrier. Results — cost, ordering, tie-breaking, profile — are
 // bit-identical to OptimalOrderingCtx at every worker count and shard
 // size; CellOps/Compactions metering is identical too, while
 // LiveCells/PeakCells reflect the pipeline's three-layer window
@@ -836,19 +934,19 @@ func runEngine(ctx stdctx.Context, base *fsContext, opts *SolveOptions, m *Meter
 // for scheduling experiments; opts.Pinned disables stealing so each
 // worker runs only shards it claimed itself.
 func OptimalOrderingParallel(ctx stdctx.Context, tt *truthtable.Table, opts *SolveOptions) (*Result, error) {
-	rule, budget := opts.rule(), opts.budget()
-	m := meterFor(opts.meter(), budget)
-	// Tiny inputs fall back to the serial DP (bit-identical by
-	// construction). Larger ones run the pipeline even at one worker:
-	// the width-counting kernel does real work only for one of each
-	// destination's k candidates, which beats the serial all-build DP by
-	// a wide margin regardless of parallelism.
-	if tt.NumVars() <= 2 {
-		return OptimalOrderingCtx(ctx, tt, &SolveOptions{Rule: rule, Meter: m, Trace: opts.trace(), Budget: budget})
-	}
+	return optimalOrderingOrbits(ctx, tt, singletons(tt.NumVars()), opts)
+}
+
+// optimalOrderingOrbits is OptimalOrderingParallel over the orbit
+// lattice of groups, a symmetry partition of tt's variables: the same
+// Result, with the fewer cell operations and transitions of
+// OrbitBounds(groups).
+func optimalOrderingOrbits(ctx stdctx.Context, tt *truthtable.Table, groups []bitops.Mask, opts *SolveOptions) (*Result, error) {
+	rule := opts.rule()
+	m := meterFor(opts.meter(), opts.budget())
 	base := baseContext(tt)
 	m.alloc(base.cells())
-	minCost, order, err := runEngine(ctx, base, opts, m)
+	minCost, order, err := runEngine(ctx, base, groups, opts, m)
 	m.free(base.cells())
 	if err != nil {
 		return nil, err
@@ -856,4 +954,14 @@ func OptimalOrderingParallel(ctx stdctx.Context, tt *truthtable.Table, opts *Sol
 	res := finishResult(tt, nil, order, minCost, rule, m)
 	finishMetrics(m)
 	return res, nil
+}
+
+// singletons is the all-singleton partition of n variables, whose orbit
+// lattice is the full subset lattice.
+func singletons(n int) []bitops.Mask {
+	groups := make([]bitops.Mask, n)
+	for v := range groups {
+		groups[v] = bitops.Mask(0).With(v)
+	}
+	return groups
 }

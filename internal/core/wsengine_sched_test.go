@@ -4,8 +4,12 @@ import (
 	stdctx "context"
 	"errors"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
+	"obddopt/internal/bitops"
+	"obddopt/internal/funcs"
 	"obddopt/internal/obs"
 	"obddopt/internal/truthtable"
 )
@@ -46,7 +50,7 @@ func TestWSEngineStealPath(t *testing.T) {
 	serial := OptimalOrdering(f, nil)
 
 	base := baseContext(f)
-	e := newWSEngine(nil, base, OBDD, 2, 30, false, Budget{}, nil)
+	e := newWSEngine(nil, base, singletons(6), 2, &SolveOptions{ShardBits: 30})
 	if !e.claim(1) {
 		t.Fatal("claim(1) found no eligible shard")
 	}
@@ -160,5 +164,63 @@ func TestSolveOptionHelpers(t *testing.T) {
 	}
 	if o.Seeder == nil {
 		t.Error("Seeder not set")
+	}
+}
+
+// TestEngineInlineBelowThreshold pins the default schedule's sizing: a
+// run OrbitBounds prices below engineInlineCellOps spawns no goroutine
+// (its one worker runs on the caller), a larger one spawns GOMAXPROCS−1
+// beside worker 0, and an explicit Workers is kept as given.
+func TestEngineInlineBelowThreshold(t *testing.T) {
+	spawns := func(tt *truthtable.Table, workers int) uint64 {
+		before := obs.Metrics.WorkerSpawns.Value()
+		mustResult(OptimalOrderingParallel(nil, tt, &SolveOptions{Workers: workers}))
+		return obs.Metrics.WorkerSpawns.Value() - before
+	}
+	rng := rand.New(rand.NewSource(224))
+	small, large := truthtable.Random(9, rng), truthtable.Random(11, rng)
+	if ops, _ := OrbitBounds(singletons(9)); ops >= engineInlineCellOps {
+		t.Fatalf("n=9 prices at %d cell ops, not below the %d threshold", ops, engineInlineCellOps)
+	}
+	if got := spawns(small, 0); got != 0 {
+		t.Errorf("small default run spawned %d goroutines, want 0", got)
+	}
+	if got, want := spawns(large, 0), uint64(runtime.GOMAXPROCS(0)-1); got != want {
+		t.Errorf("large default run spawned %d goroutines, want %d", got, want)
+	}
+	if got := spawns(small, 3); got != 2 {
+		t.Errorf("explicit 3-worker run spawned %d goroutines, want 2", got)
+	}
+}
+
+// TestEngineWideMode drives runShard's wide path — node IDs past 2^16,
+// where every candidate is costed by a full compaction instead of width
+// counting — on small inputs by starting the base's ID space at 2^16:
+// the run's cost is offset by exactly that much, and its ordering is the
+// serial DP's, on the full lattice and over symmetry orbits.
+func TestEngineWideMode(t *testing.T) {
+	for _, tt := range []*truthtable.Table{
+		truthtable.Random(8, rand.New(rand.NewSource(225))),
+		funcs.AchillesHeel(4),
+		funcs.Threshold(8, 3),
+	} {
+		for _, rule := range []Rule{OBDD, ZDD} {
+			want := OptimalOrdering(tt, &SolveOptions{Rule: rule})
+			for _, groups := range [][]bitops.Mask{singletons(tt.NumVars()), truthtable.Groups(tt)} {
+				base := baseContext(tt)
+				base.cost = 1 << 16
+				m := &Meter{}
+				cost, order, err := runEngine(nil, base, groups, &SolveOptions{Rule: rule, Workers: 2}, m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if cost-base.cost != want.MinCost || !slices.Equal(order, want.Ordering) {
+					t.Fatalf("%v groups %v: wide-mode cost %d ordering %v, serial %d %v", rule, groups, cost-base.cost, order, want.MinCost, want.Ordering)
+				}
+				if m.LiveCells != 0 {
+					t.Fatalf("%v groups %v: %d live cells after the run", rule, groups, m.LiveCells)
+				}
+			}
+		}
 	}
 }

@@ -80,7 +80,8 @@ var Metrics struct {
 	// Evaluations counts cost-oracle evaluations (complete orderings
 	// costed by search drivers and heuristics).
 	Evaluations Counter
-	// WorkerSpawns counts goroutines launched by the parallel solver.
+	// WorkerSpawns counts goroutines launched by the parallel solver
+	// (its worker 0 runs on the calling goroutine).
 	WorkerSpawns Counter
 	// ShardsExecuted counts lattice shards processed by the work-stealing
 	// DP scheduler; ShardSteals the subset of those a worker took from

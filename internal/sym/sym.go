@@ -1,5 +1,5 @@
-// Package sym detects symmetric variables of Boolean functions and
-// exploits them for ordering search. Two variables are symmetric when
+// Package sym exploits the symmetric variables of Boolean functions for
+// heuristic ordering search. Two variables are symmetric when
 // exchanging them leaves the function invariant (equivalently
 // f|x_i=0,x_j=1 ≡ f|x_i=1,x_j=0); symmetry is an equivalence relation, so
 // the variables partition into symmetry groups. Orderings that permute
@@ -10,7 +10,8 @@
 //   - motivates group sifting: moving whole groups instead of single
 //     variables, the classical symmetric-sifting heuristic.
 //
-// Detection runs in O(n²·2ⁿ) on the truth table and is exact.
+// Detection is truthtable.Groups, the same exact detector the default
+// solver uses to run its dynamic program over symmetry orbits.
 package sym
 
 import (
@@ -21,63 +22,10 @@ import (
 	"obddopt/internal/truthtable"
 )
 
-// SymmetricPair reports whether exchanging variables i and j leaves f
-// invariant.
-func SymmetricPair(f *truthtable.Table, i, j int) bool {
-	n := f.NumVars()
-	if i < 0 || i >= n || j < 0 || j >= n {
-		panic("sym: variable index out of range")
-	}
-	if i == j {
-		return true
-	}
-	size := f.Size()
-	bi, bj := uint64(1)<<uint(i), uint64(1)<<uint(j)
-	for idx := uint64(0); idx < size; idx++ {
-		// Only check the (i=0, j=1) half; the swapped index covers the
-		// other half, and equal-bit cells are trivially invariant.
-		if idx&bi != 0 || idx&bj == 0 {
-			continue
-		}
-		if f.Bit(idx) != f.Bit(idx^bi^bj) {
-			return false
-		}
-	}
-	return true
-}
-
-// Groups returns the symmetry groups of f as variable masks, sorted by
-// their smallest member. Every variable appears in exactly one group;
-// variables with no symmetric partner form singleton groups.
-func Groups(f *truthtable.Table) []bitops.Mask {
-	n := f.NumVars()
-	assigned := make([]int, n)
-	for i := range assigned {
-		assigned[i] = -1
-	}
-	var groups []bitops.Mask
-	for i := 0; i < n; i++ {
-		if assigned[i] >= 0 {
-			continue
-		}
-		g := bitops.Mask(0).With(i)
-		assigned[i] = len(groups)
-		for j := i + 1; j < n; j++ {
-			if assigned[j] < 0 && SymmetricPair(f, i, j) {
-				g = g.With(j)
-				assigned[j] = len(groups)
-			}
-		}
-		groups = append(groups, g)
-	}
-	return groups
-}
-
 // TotallySymmetric reports whether all variables form one symmetry group
 // (every ordering yields the same diagram).
 func TotallySymmetric(f *truthtable.Table) bool {
-	g := Groups(f)
-	return len(g) == 1
+	return len(truthtable.Groups(f)) == 1
 }
 
 // EffectiveOrderings returns the number of distinct orderings modulo
@@ -119,7 +67,7 @@ type Result struct {
 // smallest, sweeping until convergence. Within a group the member order
 // is irrelevant by symmetry; members are kept in index order.
 func GroupSift(f *truthtable.Table, rule core.Rule) Result {
-	groups := Groups(f)
+	groups := truthtable.Groups(f)
 	// arrangement is the current bottom-up list of group indices.
 	arrangement := make([]int, len(groups))
 	for i := range arrangement {

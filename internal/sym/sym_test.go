@@ -14,14 +14,14 @@ import (
 func TestSymmetricPairBasics(t *testing.T) {
 	// x0 ∧ x1 is symmetric in (0,1); x0 ∧ ¬x1 is not.
 	and := truthtable.Var(2, 0).And(truthtable.Var(2, 1))
-	if !SymmetricPair(and, 0, 1) {
+	if !truthtable.SymmetricPair(and, 0, 1) {
 		t.Errorf("AND should be symmetric")
 	}
 	andn := truthtable.Var(2, 0).And(truthtable.Var(2, 1).Not())
-	if SymmetricPair(andn, 0, 1) {
+	if truthtable.SymmetricPair(andn, 0, 1) {
 		t.Errorf("x0∧¬x1 should not be symmetric")
 	}
-	if !SymmetricPair(and, 1, 1) {
+	if !truthtable.SymmetricPair(and, 1, 1) {
 		t.Errorf("reflexive symmetry must hold")
 	}
 }
@@ -32,7 +32,7 @@ func TestSymmetricPairPanics(t *testing.T) {
 			t.Errorf("no panic on bad index")
 		}
 	}()
-	SymmetricPair(truthtable.New(2), 0, 5)
+	truthtable.SymmetricPair(truthtable.New(2), 0, 5)
 }
 
 func TestGroupsOfSymmetricFunctions(t *testing.T) {
@@ -42,7 +42,7 @@ func TestGroupsOfSymmetricFunctions(t *testing.T) {
 		"threshold": funcs.Threshold(6, 2),
 	} {
 		if !TotallySymmetric(f) {
-			t.Errorf("%s should be totally symmetric: groups %v", name, Groups(f))
+			t.Errorf("%s should be totally symmetric: groups %v", name, truthtable.Groups(f))
 		}
 	}
 }
@@ -50,7 +50,7 @@ func TestGroupsOfSymmetricFunctions(t *testing.T) {
 func TestGroupsOfAchillesHeel(t *testing.T) {
 	// The pairs {2i, 2i+1} are the symmetry groups.
 	f := funcs.AchillesHeel(3)
-	groups := Groups(f)
+	groups := truthtable.Groups(f)
 	if len(groups) != 3 {
 		t.Fatalf("achilles groups = %v", groups)
 	}
@@ -66,7 +66,7 @@ func TestGroupsOfAdder(t *testing.T) {
 	// The carry of an adder is symmetric in each (a_i, b_i) pair.
 	bits := 3
 	f := funcs.AdderCarry(bits)
-	groups := Groups(f)
+	groups := truthtable.Groups(f)
 	if len(groups) != bits {
 		t.Fatalf("adder carry groups = %v", groups)
 	}
@@ -83,7 +83,7 @@ func TestGroupsPartition(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		n := 1 + trial%7
 		f := truthtable.Random(n, rng)
-		groups := Groups(f)
+		groups := truthtable.Groups(f)
 		var union bitops.Mask
 		for _, g := range groups {
 			if g&union != 0 {
@@ -101,7 +101,7 @@ func TestGroupOrderingsYieldEqualSizes(t *testing.T) {
 	// Permuting within a group never changes the diagram size — the
 	// defining property the heuristic exploits.
 	f := funcs.AdderCarry(3)
-	groups := Groups(f)
+	groups := truthtable.Groups(f)
 	rng := rand.New(rand.NewSource(132))
 	base := flatten(groups, []int{0, 1, 2})
 	baseCost := core.SizeUnder(f, base, core.OBDD, nil)
@@ -121,11 +121,11 @@ func TestGroupOrderingsYieldEqualSizes(t *testing.T) {
 
 func TestEffectiveOrderings(t *testing.T) {
 	// Parity over 6 vars: one group of 6 → a single effective ordering.
-	if got := EffectiveOrderings(Groups(funcs.Parity(6))); got != 1 {
+	if got := EffectiveOrderings(truthtable.Groups(funcs.Parity(6))); got != 1 {
 		t.Errorf("parity effective orderings = %v, want 1", got)
 	}
 	// Achilles 3 pairs: 6!/2!³ = 90.
-	if got := EffectiveOrderings(Groups(funcs.AchillesHeel(3))); math.Abs(got-90) > 1e-9 {
+	if got := EffectiveOrderings(truthtable.Groups(funcs.AchillesHeel(3))); math.Abs(got-90) > 1e-9 {
 		t.Errorf("achilles effective orderings = %v, want 90", got)
 	}
 	// No symmetry: n! unchanged.

@@ -175,7 +175,7 @@ type VarSet = bitops.Mask
 // exchange leaves f invariant) as variable sets sorted by smallest
 // member. Orderings differing only inside a group yield identical
 // diagrams.
-func SymmetryGroups(f *Table) []VarSet { return sym.Groups(f) }
+func SymmetryGroups(f *Table) []VarSet { return truthtable.Groups(f) }
 
 // GroupSiftResult reports a symmetric-sifting outcome.
 type GroupSiftResult = sym.Result
