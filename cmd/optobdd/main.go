@@ -303,7 +303,7 @@ func (c *config) runShared() error {
 	ctx, cancel := c.flags.Context()
 	defer cancel()
 	start := time.Now()
-	opts := core.NewSolveOptions(core.WithRule(rule), core.WithMeter(meter), core.WithTrace(tr), core.WithBudget(c.flags.Budget()))
+	opts := &core.SolveOptions{Rule: rule, Meter: meter, Trace: tr, Budget: c.flags.Budget()}
 	c.flags.Schedule(opts)
 	res, err := core.OptimalOrderingSharedParallel(ctx, tts, opts)
 	elapsed := time.Since(start)

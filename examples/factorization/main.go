@@ -47,7 +47,7 @@ func main() {
 	for _, s := range m.ToFamily(cover) {
 		chi.Set(uint64(s), true)
 	}
-	res := core.OptimalOrdering(chi, core.NewSolveOptions(core.WithRule(core.ZDD)))
+	res := core.OptimalOrdering(chi, &core.SolveOptions{Rule: core.ZDD})
 	fmt.Printf("minimum ZDD of the cover: %d nodes under %s\n", res.MinCost, res.Ordering)
 	mOpt := zdd.New(5, res.Ordering)
 	fmt.Println("manager agrees:", mOpt.CountNodes(mOpt.FromTruthTable(chi)) == res.MinCost)

@@ -44,7 +44,7 @@ func main() {
 	for _, s := range matchings {
 		chi.Set(uint64(s), true)
 	}
-	res := core.OptimalOrdering(chi, core.NewSolveOptions(core.WithRule(core.ZDD)))
+	res := core.OptimalOrdering(chi, &core.SolveOptions{Rule: core.ZDD})
 	obdd := core.OptimalOrdering(chi, nil)
 	fmt.Printf("exact minimum ZDD: %d nodes under %s\n", res.MinCost, res.Ordering)
 	fmt.Printf("exact minimum OBDD of the same family: %d nodes (ZDD/OBDD = %.3f)\n",

@@ -17,7 +17,7 @@ import (
 //   - transferred to a sanctioned owner: stored into a table slot
 //     (an element of a local slice or of a whitelisted struct's slice
 //     field) or into a field of one of the engine's owning structs
-//     (fsContext, sharedContext, dpState, workspace, wsLayer, Arena),
+//     (fsContext, dpState, workspace, wsLayer, Arena),
 //     or returned to the caller.
 //
 // A store into a field of any other struct is an escape out of the
@@ -47,12 +47,11 @@ var ArenaOwner = &Analyzer{
 // released by the unique layer completer or the engine's releaseAll —
 // and the arena itself.
 var arenaOwnerWhitelist = map[string]bool{
-	"fsContext":     true,
-	"sharedContext": true,
-	"dpState":       true,
-	"workspace":     true,
-	"wsLayer":       true,
-	"Arena":         true,
+	"fsContext": true,
+	"dpState":   true,
+	"workspace": true,
+	"wsLayer":   true,
+	"Arena":     true,
 }
 
 func runArenaOwner(pass *Pass) error {
@@ -250,7 +249,7 @@ func (af *arenaFlow) checkStoreTarget(f arenaFact, lhs ast.Expr, pos token.Pos) 
 			at = lhs.Pos()
 		}
 		af.escapes[at] = "arena block stored into field " + exprText(lhs) + " of " + name +
-			": outside the fsContext/sharedContext/dpState/workspace/wsLayer ownership whitelist, " +
+			": outside the fsContext/dpState/workspace/wsLayer ownership whitelist, " +
 			"the block can never be recycled (annotate with //lint:allow arenaowner <why> if sanctioned)"
 	}
 }
@@ -292,7 +291,7 @@ func (af *arenaFlow) applyCompositeLit(f arenaFact, lit *ast.CompositeLit) {
 	if name != "" && !arenaOwnerWhitelist[name] {
 		if _, isStruct := structUnder(af.pass, lit); isStruct {
 			af.escapes[lit.Pos()] = "arena block stored into a " + name + " literal: outside the " +
-				"fsContext/sharedContext/dpState/workspace/wsLayer ownership whitelist, the block can never be " +
+				"fsContext/dpState/workspace/wsLayer ownership whitelist, the block can never be " +
 				"recycled (annotate with //lint:allow arenaowner <why> if sanctioned)"
 		}
 	}

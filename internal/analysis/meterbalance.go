@@ -23,11 +23,11 @@ import (
 //
 // Ownership transfers are PROVEN, not waived: a return whose result
 // carries a table — a []uint32 / [][]uint32, or a struct holding one
-// (fsContext, sharedContext, dpState) — hands every outstanding
-// allocation to the caller, so the path is balanced by transfer. This is
-// what discharges compact / compactShared / the compose ladder without
-// an annotation: the allocated cells leave through the return value, and
-// a `return nil, err` path (a nil carrier) gets no such credit.
+// (fsContext, dpState) — hands every outstanding allocation to the
+// caller, so the path is balanced by transfer. This is what discharges
+// compact and the compose ladder without an annotation: the allocated
+// cells leave through the return value, and a `return nil, err` path (a
+// nil carrier) gets no such credit.
 //
 // Deferred frees and the abort/cleanup-closure idiom (a local closure
 // containing frees, called before an early return) are both replayed

@@ -81,7 +81,7 @@ func transferIntoTableSlot(ar *Arena, size uint64, keep []bool) [][]uint32 {
 }
 
 // transferIntoState stores into a whitelisted owner's slice field (the
-// compactShared shape). Must stay silent.
+// wsLayer result-slot shape). Must stay silent.
 func transferIntoState(ar *Arena, st *dpState, size uint64) {
 	out := ar.GetU32(size)
 	st.tables[0] = out

@@ -256,13 +256,13 @@ func checkSharedSingleton(ctx context.Context, solver string, tt *truthtable.Tab
 	if err != nil {
 		return fmt.Errorf("solve failed: %w", err)
 	}
-	sh, err := core.OptimalOrderingSharedCtx(ctx, []*truthtable.Table{tt}, core.NewSolveOptions(core.WithRule(rule)))
+	sh, err := core.OptimalOrderingSharedCtx(ctx, []*truthtable.Table{tt}, &core.SolveOptions{Rule: rule})
 	if err != nil {
 		return fmt.Errorf("shared solve failed: %w", err)
 	}
 	// SolveShared runs the engine entry, so hold it to the serial shared
 	// DP on the same singleton: equal cost and ordering.
-	eng, err := core.OptimalOrderingSharedParallel(ctx, []*truthtable.Table{tt}, core.NewSolveOptions(core.WithRule(rule)))
+	eng, err := core.OptimalOrderingSharedParallel(ctx, []*truthtable.Table{tt}, &core.SolveOptions{Rule: rule})
 	if err != nil {
 		return fmt.Errorf("shared engine solve failed: %w", err)
 	}
@@ -288,7 +288,7 @@ func checkAgreement(ctx context.Context, solver string, tt *truthtable.Table, ru
 	if err != nil {
 		return fmt.Errorf("solve failed: %w", err)
 	}
-	ref, err := core.OptimalOrderingCtx(ctx, tt, core.NewSolveOptions(core.WithRule(rule)))
+	ref, err := core.OptimalOrderingCtx(ctx, tt, &core.SolveOptions{Rule: rule})
 	if err != nil {
 		return fmt.Errorf("reference DP failed: %w", err)
 	}

@@ -178,7 +178,7 @@ func BranchAndBoundCtx(ctx stdctx.Context, tt *truthtable.Table, opts *BnBOption
 		// Stopped early: surface the best incumbent, if any, alongside
 		// the error so callers can degrade gracefully.
 		if found {
-			return finishResult(tt, nil, truthtable.Ordering(append([]int(nil), bestOrder...)), best, rule, m), err
+			return finishResult(tt, truthtable.Ordering(append([]int(nil), bestOrder...)), best, rule), err
 		}
 		return nil, err
 	}
@@ -188,7 +188,7 @@ func BranchAndBoundCtx(ctx stdctx.Context, tt *truthtable.Table, opts *BnBOption
 		return BranchAndBoundCtx(ctx, tt, &BnBOptions{Rule: rule, Meter: opts.meter(), Trace: tr, Budget: opts.budget()})
 	}
 	finishMetrics(m)
-	return finishResult(tt, nil, truthtable.Ordering(bestOrder), best, rule, m), nil
+	return finishResult(tt, truthtable.Ordering(bestOrder), best, rule), nil
 }
 
 // remainingLowerBound counts the free variables whose level must hold at

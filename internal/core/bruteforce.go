@@ -60,19 +60,35 @@ func BruteForce(tt *truthtable.Table, opts *BruteForceOptions) *Result {
 // found so far (if any complete ordering was reached) alongside the
 // ErrCanceled / ErrBudgetExceeded error.
 func BruteForceCtx(ctx stdctx.Context, tt *truthtable.Table, opts *BruteForceOptions) (*Result, error) {
-	rule := opts.rule()
 	m := meterFor(opts.meter(), opts.budget())
-	lim := newLimiter(ctx, opts.budget(), m)
-	obs.Metrics.RunsStarted.Inc()
-	n := tt.NumVars()
-	ws := acquireWorkspace()
-	defer ws.release()
 	base := baseContext(tt)
 	m.alloc(base.cells())
+	best, order, err := bruteForce(ctx, base, opts, m)
+	m.free(base.cells())
+	if order == nil {
+		return nil, err
+	}
+	return finishResult(tt, order, best, opts.rule()), err
+}
+
+// bruteForce is the exhaustive search over the orderings of a
+// caller-owned base context's free variables, a DFS over ordering
+// prefixes in which each extension is one compaction; BruteForceCtx and
+// BruteForceShared run it. It returns the minimum cost and the first
+// ordering found achieving it, or a nil ordering when the search stopped
+// before completing one. The base's own cells stay the caller's to
+// meter.
+func bruteForce(ctx stdctx.Context, base *fsContext, opts *BruteForceOptions, m *Meter) (uint64, truthtable.Ordering, error) {
+	rule := opts.rule()
+	lim := newLimiter(ctx, opts.budget(), m)
+	obs.Metrics.RunsStarted.Inc()
+	n := base.n
+	ws := acquireWorkspace()
+	defer ws.release()
 
 	best := ^uint64(0)
 	found := false
-	bestOrder := make([]int, n)
+	bestOrder := make(truthtable.Ordering, n)
 	order := make([]int, 0, n)
 	var searchOps, searchCompactions, evals uint64
 
@@ -116,17 +132,14 @@ func BruteForceCtx(ctx stdctx.Context, tt *truthtable.Table, opts *BruteForceOpt
 		return nil
 	}
 	err := dfs(base)
-	m.free(base.cells())
 	obs.Metrics.CellOps.Add(searchOps)
 	obs.Metrics.Compactions.Add(searchCompactions)
 	obs.Metrics.Evaluations.Add(evals)
-
-	if err != nil {
-		if found {
-			return finishResult(tt, nil, truthtable.Ordering(append([]int(nil), bestOrder...)), best, rule, m), err
-		}
-		return nil, err
+	if err == nil {
+		finishMetrics(m)
 	}
-	finishMetrics(m)
-	return finishResult(tt, nil, truthtable.Ordering(bestOrder), best, rule, m), nil
+	if !found {
+		return 0, nil, err
+	}
+	return best, bestOrder, err
 }

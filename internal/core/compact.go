@@ -15,9 +15,9 @@
 // ZDD (zero-suppressed, Remark 2's two-line modification), and MTBDD
 // (multi-terminal, also Remark 2).
 //
-// Storage: every table is a flat []uint32 of 2^{|free|} cells. The hot
-// paths never allocate tables through the garbage collector — they draw
-// dirty power-of-two blocks from a per-goroutine workspace (a slab arena
+// Storage: every table is a flat []uint32 of 2^{|free|} cells per root.
+// The hot paths never allocate tables through the garbage collector —
+// they draw dirty blocks from a per-goroutine workspace (a slab arena
 // plus a reusable dedup scratch, see internal/core/arena) and return them
 // when a candidate is dropped or a layer retires. The Meter's cell
 // accounting (alloc/free) is kept alongside and is what bddlint's
@@ -148,7 +148,8 @@ func (ws *workspace) recycle(c *fsContext) {
 // variables occupy the bottom |absorbed| levels in some optimal order; the
 // table maps each assignment of the free (unabsorbed) variables to the
 // canonical ID of the corresponding subfunction's node. A shared-forest
-// context holds one such block per root, end to end (baseContextShared).
+// context holds one such block per root, end to end (baseContextShared),
+// and every driver runs on it as on a single root.
 //
 // Node IDs: 0 … nTerm−1 are terminal IDs (false=0, true=1 for Boolean
 // rules); nonterminal nodes are numbered from nTerm upward in creation

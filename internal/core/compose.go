@@ -78,7 +78,7 @@ func DivideAndConquerComposed(tt *truthtable.Table, opts *LadderOptions) *Result
 	}
 	m.free(base.cells())
 	finishMetrics(m)
-	return finishResult(tt, nil, truthtable.Ordering(order), minCost, rule, m)
+	return finishResult(tt, truthtable.Ordering(order), minCost, rule)
 }
 
 type ladder struct {

@@ -163,7 +163,7 @@ func DivideAndConquerCtx(ctx stdctx.Context, tt *truthtable.Table, opts *DnCOpti
 	pre.Release()
 	m.free(base.cells())
 	finishMetrics(m)
-	return finishResult(tt, nil, truthtable.Ordering(order), minCost, rule, m), nil
+	return finishResult(tt, truthtable.Ordering(order), minCost, rule), nil
 }
 
 // dncRun carries the shared state of one DivideAndConquer invocation.

@@ -12,41 +12,6 @@ import (
 	"obddopt/internal/truthtable"
 )
 
-// Opt configures a solver run; the root facade's options translate to
-// these 1:1. Apply a set with NewSolveOptions.
-type Opt func(*SolveOptions)
-
-// NewSolveOptions resolves a list of options into the unified option set
-// every registered solver accepts.
-func NewSolveOptions(opts ...Opt) *SolveOptions {
-	o := &SolveOptions{}
-	for _, opt := range opts {
-		opt(o)
-	}
-	return o
-}
-
-// WithRule selects the diagram variant to minimize (OBDD, the default,
-// or ZDD).
-func WithRule(r Rule) Opt { return func(o *SolveOptions) { o.Rule = r } }
-
-// WithMeter attaches a Meter accumulating the run's operation counts.
-func WithMeter(m *Meter) Opt { return func(o *SolveOptions) { o.Meter = m } }
-
-// WithTrace attaches a Tracer receiving the run's events.
-func WithTrace(tr obs.Tracer) Opt { return func(o *SolveOptions) { o.Trace = tr } }
-
-// WithBudget bounds the run's resources (live DP cells, transitions);
-// enforced only by the Ctx entry points.
-func WithBudget(b Budget) Opt { return func(o *SolveOptions) { o.Budget = b } }
-
-// WithWorkers sets the goroutine count of the parallel dynamic program;
-// 0 (the default) selects GOMAXPROCS.
-func WithWorkers(n int) Opt { return func(o *SolveOptions) { o.Workers = n } }
-
-// WithSeeder overrides the portfolio's heuristic seeding phase.
-func WithSeeder(s Seeder) Opt { return func(o *SolveOptions) { o.Seeder = s } }
-
 // Result reports an exact minimization outcome. The JSON tags define the
 // run-report schema shared with the CLI `-json` modes (see internal/obs).
 type Result struct {
@@ -388,27 +353,37 @@ func OptimalOrdering(tt *truthtable.Table, opts *SolveOptions) *Result {
 // dynamic program holds no usable incumbent before it finishes, so an
 // early stop returns a nil Result.
 func OptimalOrderingCtx(ctx context.Context, tt *truthtable.Table, opts *SolveOptions) (*Result, error) {
-	rule := opts.rule()
 	m := meterFor(opts.meter(), opts.budget())
-	lim := newLimiter(ctx, opts.budget(), m)
-	obs.Metrics.RunsStarted.Inc()
 	base := baseContext(tt)
 	m.alloc(base.cells())
-	n := tt.NumVars()
-	st, err := runDP(base, bitops.FullMask(n), n, rule, m, opts.trace(), lim)
+	minCost, order, err := runSerial(ctx, base, opts, m)
+	m.free(base.cells())
 	if err != nil {
-		m.free(base.cells())
 		return nil, err
 	}
+	finishMetrics(m)
+	return finishResult(tt, order, minCost, opts.rule()), nil
+}
 
-	full := bitops.FullMask(n)
+// runSerial is the serial driver of the full-lattice dynamic program
+// over a caller-owned base context, as runEngine is of the work-stealing
+// pipeline; the fs, MTBDD and shared-forest entries all run on it. It
+// polls opts' context and budget before every transition, emits to opts'
+// tracer, and returns the minimum cost and a bottom-up optimal ordering,
+// ties broken toward the smallest variable. Every table the DP builds is
+// released before it returns, so an early stop leaves m's LiveCells
+// where they were; the base's own cells stay the caller's to meter.
+func runSerial(ctx context.Context, base *fsContext, opts *SolveOptions, m *Meter) (uint64, truthtable.Ordering, error) {
+	obs.Metrics.RunsStarted.Inc()
+	full := bitops.FullMask(base.n)
+	st, err := runDP(base, full, base.n, opts.rule(), m, opts.trace(), newLimiter(ctx, opts.budget(), m))
+	if err != nil {
+		return 0, nil, err
+	}
 	order := truthtable.Ordering(st.Reconstruct(full))
 	minCost := st.Cost(full)
 	st.Release()
-	res := finishResult(tt, nil, order, minCost, rule, m)
-	m.free(base.cells())
-	finishMetrics(m)
-	return res, nil
+	return minCost, order, nil
 }
 
 // finishMetrics folds a completed run into the process-wide registry.
@@ -434,26 +409,17 @@ func OptimalOrderingMultiCtx(ctx context.Context, mt *truthtable.MultiTable, opt
 		panic("core: OptimalOrderingMulti requires the OBDD rule") //lint:allow nopanic documented programmer-error precondition: MTBDD minimization is OBDD-rule only
 	}
 	m := meterFor(opts.meter(), opts.budget())
-	lim := newLimiter(ctx, opts.budget(), m)
-	obs.Metrics.RunsStarted.Inc()
 	base, terminals := baseContextMulti(mt)
 	m.alloc(base.cells())
-	n := mt.NumVars()
-	st, err := runDP(base, bitops.FullMask(n), n, OBDD, m, opts.trace(), lim)
+	minCost, order, err := runSerial(ctx, base, opts, m)
+	m.free(base.cells())
 	if err != nil {
-		m.free(base.cells())
 		return nil, err
 	}
-
-	full := bitops.FullMask(n)
-	order := truthtable.Ordering(st.Reconstruct(full))
-	minCost := st.Cost(full)
-	st.Release()
 	profile, _ := profileAlong(base, order, OBDD, nil)
-	m.free(base.cells())
 	finishMetrics(m)
 	return &Result{
-		N:              n,
+		N:              mt.NumVars(),
 		Rule:           OBDD,
 		MinCost:        minCost,
 		Terminals:      len(terminals),
@@ -466,11 +432,8 @@ func OptimalOrderingMultiCtx(ctx context.Context, mt *truthtable.MultiTable, opt
 
 // finishResult assembles a Result for a Boolean input: it recomputes the
 // level profile along the chosen ordering and determines the terminal set.
-func finishResult(tt *truthtable.Table, _ []uint64, order truthtable.Ordering, minCost uint64, rule Rule, m *Meter) *Result {
-	n := tt.NumVars()
-	base := baseContext(tt)
-	profile, _ := profileAlong(base, order, rule, nil)
-
+func finishResult(tt *truthtable.Table, order truthtable.Ordering, minCost uint64, rule Rule) *Result {
+	profile, _ := profileAlong(baseContext(tt), order, rule, nil)
 	var termVals []int
 	ones := tt.CountOnes()
 	switch {
@@ -481,9 +444,8 @@ func finishResult(tt *truthtable.Table, _ []uint64, order truthtable.Ordering, m
 	default:
 		termVals = []int{0, 1}
 	}
-	_ = m
 	return &Result{
-		N:              n,
+		N:              tt.NumVars(),
 		Rule:           rule,
 		MinCost:        minCost,
 		Terminals:      len(termVals),

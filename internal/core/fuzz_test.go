@@ -117,8 +117,10 @@ func decodeSharedFuzz(data []byte) ([]*truthtable.Table, *SolveOptions) {
 
 // FuzzSharedEngine cross-validates the shared-forest DP on the
 // work-stealing engine against the serial shared DP — equal MinCost and
-// Ordering, under the decoded schedule — and, for n ≤ 5, against the
-// brute-force minimum over all orderings. Explore with
+// Ordering, under the decoded schedule — against the reference builder,
+// whose joint node count and per-level widths under the engine's
+// ordering must equal its MinCost and Profile, and, for n ≤ 5, against
+// the brute-force minimum over all orderings. Explore with
 // `go test -fuzz FuzzSharedEngine ./internal/core`.
 func FuzzSharedEngine(f *testing.F) {
 	f.Add([]byte{0x0b, 0x00, 0x96, 0xe8})             // adder: sum and carry over 3 variables
@@ -138,6 +140,10 @@ func FuzzSharedEngine(f *testing.F) {
 		}
 		if m.LiveCells != 0 {
 			t.Fatalf("engine leaves %d live cells", m.LiveCells)
+		}
+		if widths, nodes := refForest(roots, res.Ordering, opts.Rule); nodes != res.MinCost || !slices.Equal(widths, res.Profile) {
+			t.Fatalf("engine cost %d profile %v under %v, reference builder %d %v",
+				res.MinCost, res.Profile, res.Ordering, nodes, widths)
 		}
 		if n := roots[0].NumVars(); n <= 5 {
 			if bf := BruteForceShared(roots, opts.Rule); bf.MinCost != res.MinCost {

@@ -96,7 +96,7 @@ func TestParallelMeterConsistent(t *testing.T) {
 }
 
 func TestParallelDefaultsAndTinyInputs(t *testing.T) {
-	// nil options and n ≤ 2 fall back to the serial path.
+	// nil options and n ≤ 2 run on the engine and match the serial DP.
 	for n := 0; n <= 2; n++ {
 		var f *truthtable.Table
 		if n == 0 {
@@ -107,7 +107,7 @@ func TestParallelDefaultsAndTinyInputs(t *testing.T) {
 		serial := OptimalOrdering(f, nil)
 		par := mustResult(OptimalOrderingParallel(nil, f, nil))
 		if serial.MinCost != par.MinCost {
-			t.Errorf("n=%d fallback mismatch", n)
+			t.Errorf("n=%d: parallel MinCost %d != serial %d", n, par.MinCost, serial.MinCost)
 		}
 	}
 }
@@ -197,9 +197,10 @@ func TestParallelBudgetDrains(t *testing.T) {
 
 // TestSharedParallelMatchesSerial is the bit-identity property of the
 // shared-forest DP on the work-stealing engine: for every schedule
-// (workers × shard bits × pinning), both rules, and 1–4 roots (one case
-// repeating a root), MinCost, Ordering, Profile and Meter.CellOps equal
-// the serial shared DP's exactly, and the meter ends with no live cells.
+// (workers × shard bits × pinning), both rules, 1–4 roots (one case
+// repeating a root) and n 0–10, MinCost, Ordering, Profile,
+// Meter.CellOps and Meter.Compactions equal the serial shared DP's
+// exactly, and the meter ends with no live cells.
 func TestSharedParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(158))
 	rootCases := []struct {
@@ -210,7 +211,7 @@ func TestSharedParallelMatchesSerial(t *testing.T) {
 	for _, rule := range []Rule{OBDD, ZDD} {
 		for _, rc := range rootCases {
 			for rep := 0; rep < 2; rep++ {
-				n := 3 + trial%8 // 3..10
+				n := trial % 11 // 0..10
 				trial++
 				roots := randomRoots(n, rc.roots, rng)
 				if rc.dup {
@@ -239,8 +240,9 @@ func TestSharedParallelMatchesSerial(t *testing.T) {
 							if !slices.Equal(par.Profile, serial.Profile) {
 								t.Fatalf("%s: profile %v != serial %v", where, par.Profile, serial.Profile)
 							}
-							if m.CellOps != sm.CellOps {
-								t.Fatalf("%s: CellOps %d != serial %d", where, m.CellOps, sm.CellOps)
+							if m.CellOps != sm.CellOps || m.Compactions != sm.Compactions {
+								t.Fatalf("%s: CellOps %d Compactions %d != serial %d %d",
+									where, m.CellOps, m.Compactions, sm.CellOps, sm.Compactions)
 							}
 							if m.LiveCells != 0 {
 								t.Errorf("%s: LiveCells = %d after the run, want 0", where, m.LiveCells)

@@ -290,5 +290,5 @@ func seed(ctx stdctx.Context, tt *truthtable.Table, o *SolveOptions) *Result {
 	if !ok {
 		return nil
 	}
-	return finishResult(tt, nil, order, cost, o.Rule, nil)
+	return finishResult(tt, order, cost, o.Rule)
 }

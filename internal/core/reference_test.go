@@ -19,6 +19,10 @@ type refBuilder struct {
 	memo  map[string]uint32
 	next  uint32
 	nodes int
+	// widths, when non-nil, counts the created nodes per level in the
+	// bottom-up Profile convention: a node testing ord[i] lands in
+	// widths[i].
+	widths []uint64
 }
 
 // refSize returns the number of nonterminal nodes of the diagram of f
@@ -70,6 +74,9 @@ func (b *refBuilder) build(f *truthtable.Table, ord truthtable.Ordering) uint32 
 		id = b.next
 		b.next++
 		b.nodes++
+		if b.widths != nil {
+			b.widths[topPos]++
+		}
 	}
 	b.memo[key] = id
 	return id

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"obddopt/internal/truthtable"
@@ -171,28 +172,42 @@ func adderCarry(bits int) *truthtable.Table {
 	return adderSumBit(bits, bits)
 }
 
+// refForest builds the shared forest of roots under ord with the
+// reference builder, which shares no code with compaction: one memo
+// across the roots counts each distinct (level, subfunction) node once.
+// It returns the per-level widths, bottom-up, and their total.
+func refForest(roots []*truthtable.Table, ord truthtable.Ordering, rule Rule) ([]uint64, uint64) {
+	b := &refBuilder{rule: rule, memo: map[string]uint32{}, next: 2, widths: make([]uint64, len(ord))}
+	for _, f := range roots {
+		b.build(f, ord)
+	}
+	return b.widths, uint64(b.nodes)
+}
+
+// TestSharedProfileMatchesBDDManagerUnion is the structural cross-check
+// of the concatenated shared layout: under a random ordering, the shared
+// per-level widths equal the reference builder's joint node counts, for
+// both rules, 1–4 roots (one case repeating a root) and n 0–6.
 func TestSharedProfileMatchesBDDManagerUnion(t *testing.T) {
-	// Structural cross-check: the shared DP width equals the number of
-	// distinct reference-builder nodes per level across all roots. We use
-	// the memoized reference builder with a shared memo.
 	rng := rand.New(rand.NewSource(127))
-	for trial := 0; trial < 10; trial++ {
-		n := 2 + trial%4
-		roots := randomRoots(n, 3, rng)
-		ord := truthtable.RandomOrdering(n, rng)
-		widths := SharedProfile(roots, ord, OBDD)
-		var total uint64
-		for _, w := range widths {
-			total += w
-		}
-		// Reference: one refBuilder shared across roots counts each
-		// distinct (level, subfunction) node once.
-		b := &refBuilder{rule: OBDD, memo: map[string]uint32{}, next: 2}
-		for _, f := range roots {
-			b.build(f, ord)
-		}
-		if int(total) != b.nodes {
-			t.Fatalf("n=%d: shared DP total %d != reference %d", n, total, b.nodes)
+	rootCases := []struct {
+		roots int
+		dup   bool // the last root repeats the first
+	}{{1, false}, {2, false}, {3, false}, {4, false}, {3, true}}
+	for _, rule := range []Rule{OBDD, ZDD} {
+		for _, rc := range rootCases {
+			for n := 0; n <= 6; n++ {
+				roots := randomRoots(n, rc.roots, rng)
+				if rc.dup {
+					roots[len(roots)-1] = roots[0]
+				}
+				ord := truthtable.RandomOrdering(n, rng)
+				want, _ := refForest(roots, ord, rule)
+				if got := SharedProfile(roots, ord, rule); !slices.Equal(got, want) {
+					t.Fatalf("%s n=%d roots=%d dup=%v ord=%v: shared profile %v != reference %v",
+						rule, n, rc.roots, rc.dup, ord, got, want)
+				}
+			}
 		}
 	}
 }

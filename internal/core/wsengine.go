@@ -951,7 +951,7 @@ func optimalOrderingOrbits(ctx stdctx.Context, tt *truthtable.Table, groups []bi
 	if err != nil {
 		return nil, err
 	}
-	res := finishResult(tt, nil, order, minCost, rule, m)
+	res := finishResult(tt, order, minCost, rule)
 	finishMetrics(m)
 	return res, nil
 }

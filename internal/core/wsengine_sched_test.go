@@ -1,7 +1,6 @@
 package core
 
 import (
-	stdctx "context"
 	"errors"
 	"math/rand"
 	"runtime"
@@ -124,46 +123,6 @@ func TestParallelCellBudget(t *testing.T) {
 	}))
 	if ok.MinCost != serial.MinCost {
 		t.Fatalf("budgeted run cost %d != serial %d", ok.MinCost, serial.MinCost)
-	}
-}
-
-type tracerStub struct{ events int }
-
-func (s *tracerStub) Emit(obs.Event) { s.events++ }
-
-// TestSolveOptionHelpers covers the functional-option constructors the
-// facade translates into; each must set exactly its field.
-func TestSolveOptionHelpers(t *testing.T) {
-	m := &Meter{}
-	tr := &tracerStub{}
-	seeder := Seeder(func(_ stdctx.Context, _ *truthtable.Table, _ Rule, _ obs.Tracer) (truthtable.Ordering, uint64, bool) {
-		return nil, 0, false
-	})
-	o := NewSolveOptions(
-		WithRule(ZDD),
-		WithMeter(m),
-		WithTrace(tr),
-		WithBudget(Budget{MaxCells: 5, MaxNodes: 9}),
-		WithWorkers(3),
-		WithSeeder(seeder),
-	)
-	if o.Rule != ZDD {
-		t.Errorf("Rule = %v, want ZDD", o.Rule)
-	}
-	if o.Meter != m {
-		t.Error("Meter not set")
-	}
-	if o.Trace != obs.Tracer(tr) {
-		t.Error("Trace not set")
-	}
-	if o.Budget != (Budget{MaxCells: 5, MaxNodes: 9}) {
-		t.Errorf("Budget = %+v", o.Budget)
-	}
-	if o.Workers != 3 {
-		t.Errorf("Workers = %d, want 3", o.Workers)
-	}
-	if o.Seeder == nil {
-		t.Error("Seeder not set")
 	}
 }
 

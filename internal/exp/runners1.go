@@ -102,7 +102,7 @@ func E4(w io.Writer, cfg Config) error {
 	for n := minN; n <= maxN; n++ {
 		f := truthtable.Random(n, rng)
 		m := &core.Meter{}
-		core.OptimalOrdering(f, core.NewSolveOptions(core.WithMeter(m)))
+		core.OptimalOrdering(f, &core.SolveOptions{Meter: m})
 		var analytic uint64
 		for k := 1; k <= n; k++ {
 			analytic += bitops.Binomial(n, k) * uint64(k) << uint(n-k)
@@ -136,7 +136,7 @@ func E5(w io.Writer, cfg Config) error {
 		bf := core.BruteForce(f, &core.BruteForceOptions{Meter: bm})
 		bfTime := time.Since(t0)
 		t0 = time.Now()
-		fs := core.OptimalOrdering(f, core.NewSolveOptions(core.WithMeter(fm)))
+		fs := core.OptimalOrdering(f, &core.SolveOptions{Meter: fm})
 		fsTime := time.Since(t0)
 		fmt.Fprintf(w, "%3d %12d %12d %9.2f %10s %10s %7v\n",
 			n, bm.CellOps, fm.CellOps,

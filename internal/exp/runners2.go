@@ -45,7 +45,7 @@ func E6(w io.Writer, cfg Config) error {
 			Alphas:    []float64{0.274862},
 		})
 		fm := &core.Meter{}
-		fs := core.OptimalOrdering(f, core.NewSolveOptions(core.WithMeter(fm)))
+		fs := core.OptimalOrdering(f, &core.SolveOptions{Meter: fm})
 		if dnc.MinCost != fs.MinCost {
 			return fmt.Errorf("E6: DnC %d != FS %d at n=%d", dnc.MinCost, fs.MinCost, n)
 		}
@@ -176,7 +176,7 @@ func E9(w io.Writer, cfg Config) error {
 	for _, n := range sizes {
 		fam := funcs.SparseFamily(n, n+2, 3, rng)
 		ob := core.OptimalOrdering(fam, nil)
-		zd := core.OptimalOrdering(fam, core.NewSolveOptions(core.WithRule(core.ZDD)))
+		zd := core.OptimalOrdering(fam, &core.SolveOptions{Rule: core.ZDD})
 		zm := zdd.New(n, zd.Ordering)
 		agree := zm.CountNodes(zm.FromTruthTable(fam)) == zd.MinCost
 		if !agree {

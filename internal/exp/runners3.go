@@ -107,7 +107,7 @@ func E12(w io.Writer, cfg Config) error {
 		}
 		J := bitops.FullMask(n) &^ I
 		m := &core.Meter{}
-		res := core.OptimalOrderingBlocks(f, []bitops.Mask{I, J}, core.NewSolveOptions(core.WithMeter(m)))
+		res := core.OptimalOrderingBlocks(f, []bitops.Mask{I, J}, &core.SolveOptions{Meter: m})
 		if res.MinCost < global.MinCost {
 			return fmt.Errorf("E12: constrained optimum beat global at |I|=%d", k)
 		}
@@ -183,7 +183,7 @@ func E14(w io.Writer, cfg Config) error {
 	for n := minN; n <= maxN; n++ {
 		f := truthtable.Random(n, rng)
 		m := &core.Meter{}
-		core.OptimalOrdering(f, core.NewSolveOptions(core.WithMeter(m)))
+		core.OptimalOrdering(f, &core.SolveOptions{Meter: m})
 		bound := core.PeakCellsBound(n)
 		fmt.Fprintf(w, "%3d %14d %14d %8.3f\n", n, m.PeakCells, bound, float64(m.PeakCells)/float64(bound))
 		if m.PeakCells > 2*bound {

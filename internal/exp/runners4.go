@@ -28,7 +28,7 @@ func E15(w io.Writer, cfg Config) error {
 	for n := minN; n <= maxN; n++ {
 		f := truthtable.Random(n, rng)
 		fsM, bbM, nlM := &core.Meter{}, &core.Meter{}, &core.Meter{}
-		fs := core.OptimalOrdering(f, core.NewSolveOptions(core.WithMeter(fsM)))
+		fs := core.OptimalOrdering(f, &core.SolveOptions{Meter: fsM})
 		bb := core.BranchAndBound(f, &core.BnBOptions{Meter: bbM})
 		core.BranchAndBound(f, &core.BnBOptions{Meter: nlM, DisableLowerBound: true})
 		if fs.MinCost != bb.MinCost {

@@ -135,7 +135,7 @@ func TestFacadeExtendedAlgorithms(t *testing.T) {
 	if got := mustSolve(t, f, WithSolver("bnb")).MinCost; got != want {
 		t.Errorf("facade B&B %d != %d", got, want)
 	}
-	if got := mustSolve(t, f, WithSolver("parallel"), WithWorkers(2)).MinCost; got != want {
+	if got := mustSolve(t, f, WithSolver("parallel"), WithSchedule(Schedule{Workers: 2})).MinCost; got != want {
 		t.Errorf("facade parallel %d != %d", got, want)
 	}
 	if got := Anneal(f, OBDD, &AnnealOptions{Rng: rng, Steps: 200}).MinCost; got < want {

@@ -97,10 +97,11 @@ func WithMeter(m *Meter) Option {
 // Schedule configures the work-stealing scheduler behind the parallel
 // solver paths: worker count, shard granularity, and whether stealing is
 // enabled. The zero value is the automatic default (GOMAXPROCS workers,
-// auto-sized shards, stealing on).
+// or one inline worker for small runs; auto-sized shards; stealing on).
 type Schedule struct {
 	// Workers is the goroutine count of the parallel dynamic program,
-	// SolveShared's included; 0 selects GOMAXPROCS.
+	// SolveShared's included; 0 selects GOMAXPROCS, or one inline worker
+	// for small runs.
 	Workers int
 	// ShardBits overrides the shard granularity of the work-stealing DP:
 	// when positive, each popcount layer is split into shards of
@@ -124,16 +125,6 @@ func WithSchedule(s Schedule) Option {
 		c.opts.ShardBits = s.ShardBits
 		c.opts.Pinned = s.Pinned
 	}
-}
-
-// WithWorkers sets the goroutine count of the parallel DP (the
-// portfolio's included); 0 (the default) selects GOMAXPROCS.
-//
-// Deprecated: Use WithSchedule(Schedule{Workers: n}), which also exposes
-// shard granularity and pinning. WithWorkers remains as a shim and sets
-// only the worker count.
-func WithWorkers(n int) Option {
-	return func(c *solveConfig) { c.opts.Workers = n }
 }
 
 // SolverNames lists the registered solver names, sorted — the valid
@@ -240,10 +231,10 @@ func SolveArtifact(ctx context.Context, tt *Table, opts ...Option) (*Result, *Ar
 // SolveShared runs it on the work-stealing engine of the "parallel"
 // solver, with the m roots' truth tables laid end to end in one base
 // table, so it accepts a subset of Solve's options: WithRule,
-// WithDeadline, WithBudget, WithMeter, WithTrace and WithSchedule /
-// WithWorkers (Workers 0 selects GOMAXPROCS, as in Solve; every
-// schedule is bit-identical to the serial shared DP), plus
-// WithSolver("fs") as an explicit no-op. Any other WithSolver name
+// WithDeadline, WithBudget, WithMeter, WithTrace and WithSchedule
+// (Workers 0 selects GOMAXPROCS, or one inline worker for small runs,
+// as in Solve; every schedule is bit-identical to the serial shared DP),
+// plus WithSolver("fs") as an explicit no-op. Any other WithSolver name
 // returns ErrInvalidInput — an option that cannot take effect is
 // rejected, never silently ignored. The early-stop contract matches
 // Solve's, except the dynamic program carries no incumbent, so an early

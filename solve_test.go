@@ -21,7 +21,7 @@ func TestSolveDefaultMatchesLegacy(t *testing.T) {
 	for _, rule := range []Rule{OBDD, ZDD} {
 		for i := 0; i < 4; i++ {
 			tt := RandomTable(3+rng.Intn(6), rng)
-			want := core.OptimalOrdering(tt, core.NewSolveOptions(core.WithRule(rule)))
+			want := core.OptimalOrdering(tt, &core.SolveOptions{Rule: rule})
 			got, err := Solve(context.Background(), tt, WithRule(rule))
 			if err != nil {
 				t.Fatal(err)
@@ -94,9 +94,9 @@ func TestSolveSharedOptionValidation(t *testing.T) {
 		{"portfolio rejected", []Option{WithSolver("portfolio")}, true},
 		{"bnb rejected", []Option{WithSolver("bnb")}, true},
 		{"unknown solver rejected", []Option{WithSolver("no-such")}, true},
-		{"workers accepted", []Option{WithWorkers(4)}, false},
-		{"workers with fs accepted", []Option{WithSolver("fs"), WithWorkers(2)}, false},
-		{"schedule accepted", []Option{WithSchedule(Schedule{Workers: 2})}, false},
+		{"workers accepted", []Option{WithSchedule(Schedule{Workers: 4})}, false},
+		{"workers with fs accepted", []Option{WithSolver("fs"), WithSchedule(Schedule{Workers: 2})}, false},
+		{"schedule accepted", []Option{WithSchedule(Schedule{Workers: 2, ShardBits: 1, Pinned: true})}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -121,9 +121,9 @@ func TestSolveSharedOptionValidation(t *testing.T) {
 }
 
 // TestWithScheduleFacade drives the Schedule API end to end through the
-// facade: a scheduled parallel solve, the deprecated WithWorkers shim,
-// and a scheduled shared solve all return results bit-identical to the
-// serial dynamic program's (the single-table or the shared one).
+// facade: a scheduled parallel solve and a scheduled shared solve both
+// return results bit-identical to the serial dynamic program's (the
+// single-table or the shared one).
 func TestWithScheduleFacade(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	tt := RandomTable(7, rng)
@@ -131,22 +131,17 @@ func TestWithScheduleFacade(t *testing.T) {
 	if err != nil {
 		t.Fatalf("serial reference: %v", err)
 	}
-	for name, opts := range map[string][]Option{
-		"schedule": {WithSolver("parallel"), WithSchedule(Schedule{Workers: 3, ShardBits: 2, Pinned: true})},
-		"shim":     {WithSolver("parallel"), WithWorkers(2)},
-	} {
-		got, err := Solve(context.Background(), tt, opts...)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if got.MinCost != want.MinCost {
-			t.Errorf("%s: MinCost %d != serial %d", name, got.MinCost, want.MinCost)
-		}
-		for i := range want.Ordering {
-			if got.Ordering[i] != want.Ordering[i] {
-				t.Errorf("%s: ordering %v != serial %v", name, got.Ordering, want.Ordering)
-				break
-			}
+	got, err := Solve(context.Background(), tt, WithSolver("parallel"), WithSchedule(Schedule{Workers: 3, ShardBits: 2, Pinned: true}))
+	if err != nil {
+		t.Fatalf("scheduled parallel: %v", err)
+	}
+	if got.MinCost != want.MinCost {
+		t.Errorf("scheduled parallel MinCost %d != serial %d", got.MinCost, want.MinCost)
+	}
+	for i := range want.Ordering {
+		if got.Ordering[i] != want.Ordering[i] {
+			t.Errorf("scheduled parallel ordering %v != serial %v", got.Ordering, want.Ordering)
+			break
 		}
 	}
 
