@@ -11,10 +11,12 @@ build:
 	$(GO) build ./...
 	$(GO) vet ./...
 
-# Static analysis: go vet plus the repository's own invariant checkers
-# (see "Static analysis" in README.md). bddlint must exit 0 — fix the
-# finding or annotate the sanctioned site with //lint:allow <rule> <why>.
+# Static analysis: gofmt, go vet and the repository's own invariant
+# checkers (see "Static analysis" in README.md). bddlint must exit 0 —
+# fix the finding or annotate the sanctioned site with
+# //lint:allow <rule> <why>.
 lint:
+	test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 	$(GO) vet ./...
 	$(GO) run ./cmd/bddlint ./...
 

@@ -38,11 +38,11 @@ func main() {
 }
 
 type config struct {
-	seed     int64
-	duration time.Duration
-	solvers  []string
-	chaos    int
-	tables   int
+	seed       int64
+	duration   time.Duration
+	solvers    []string
+	chaos      int
+	tables     int
 	jsonOut    bool
 	gen        bool
 	golden     string

@@ -25,7 +25,7 @@ import (
 // carries a table — a []uint32 / [][]uint32, or a struct holding one
 // (fsContext, dpState) — hands every outstanding allocation to the
 // caller, so the path is balanced by transfer. This is what discharges
-// compact and the compose ladder without an annotation: the allocated
+// compact and DnC's extend without an annotation: the allocated
 // cells leave through the return value, and a `return nil, err` path (a
 // nil carrier) gets no such credit.
 //

@@ -300,11 +300,11 @@ func TestDecodeRejectsNonCanonical(t *testing.T) {
 		{"ordering-out-of-range", stream(2, []byte{2, 0}, []byte{1, 2}, 4, 0x06, 0x0e)},
 		{"root-not-total-plus-one", stream(2, []byte{1, 0}, []byte{1, 2}, 3, 0x06, 0x0e)},
 		{"constant-root-nonterminal", stream(2, []byte{1, 0}, []byte{0, 0}, 2)},
-		{"redundant-node", stream(2, []byte{1, 0}, []byte{1, 2}, 4, 0x07, 0x0e)},  // level-1 node (1,1)
-		{"duplicate-node", stream(2, []byte{1, 0}, []byte{1, 2}, 4, 0x05, 0x0e)},  // (1,0),(1,0)
-		{"unsorted-level", stream(2, []byte{1, 0}, []byte{1, 2}, 4, 0x09, 0x0e)},  // (1,0),(0,1)
+		{"redundant-node", stream(2, []byte{1, 0}, []byte{1, 2}, 4, 0x07, 0x0e)},    // level-1 node (1,1)
+		{"duplicate-node", stream(2, []byte{1, 0}, []byte{1, 2}, 4, 0x05, 0x0e)},    // (1,0),(1,0)
+		{"unsorted-level", stream(2, []byte{1, 0}, []byte{1, 2}, 4, 0x09, 0x0e)},    // (1,0),(0,1)
 		{"edge-out-of-range", stream(2, []byte{1, 0}, []byte{1, 1}, 3, 0x02, 0x0c)}, // root (0,3): 3 ≥ base 3
-		{"unreachable-node", stream(2, []byte{1, 0}, []byte{1, 2}, 4, 0x06, 0x04)}, // root (0,1) strands ids 2 and 3
+		{"unreachable-node", stream(2, []byte{1, 0}, []byte{1, 2}, 4, 0x06, 0x04)},  // root (0,1) strands ids 2 and 3
 		// 0x80 0x00 decodes to the same value as 0x00 but re-encodes
 		// shorter, so canonicality demands minimal varints (fuzzer find).
 		{"nonminimal-varint-n", []byte("OBDa\x01\x80\x00")},

@@ -116,7 +116,7 @@ func Families() []Family {
 			// Uniformly random tables keep the structured families
 			// honest: no generator bias survives this control.
 			Name: "random", MinVars: 1, MaxVars: 16,
-			New:  truthtable.Random,
+			New: truthtable.Random,
 		},
 	}
 }

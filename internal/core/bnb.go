@@ -8,54 +8,9 @@ import (
 	"obddopt/internal/truthtable"
 )
 
-// BnBOptions configures the branch-and-bound exact search.
-type BnBOptions struct {
-	// Rule selects the diagram variant (OBDD or ZDD).
-	Rule Rule
-	// Meter, if non-nil, accumulates operation counts.
-	Meter *Meter
-	// Trace, if non-nil, receives node expand / prune / incumbent
-	// events as the search runs.
-	Trace obs.Tracer
-	// InitialBound seeds the incumbent with a known upper bound on
-	// MinCost (e.g. from a heuristic); 0 means start unbounded. A tight
-	// seed can prune most of the search.
-	InitialBound uint64
-	// DisableLowerBound turns off the dependence-count lower bound,
-	// leaving only memo/incumbent pruning (for ablation measurements).
-	DisableLowerBound bool
-	// Budget bounds the run's resources (live cells, node expansions);
-	// the zero value is unlimited. Enforced only by BranchAndBoundCtx.
-	Budget Budget
-}
-
-func (o *BnBOptions) rule() Rule {
-	if o == nil {
-		return OBDD
-	}
-	return o.Rule
-}
-
-func (o *BnBOptions) meter() *Meter {
-	if o == nil {
-		return nil
-	}
-	return o.Meter
-}
-
-func (o *BnBOptions) trace() obs.Tracer {
-	if o == nil {
-		return nil
-	}
-	return o.Trace
-}
-
-func (o *BnBOptions) budget() Budget {
-	if o == nil {
-		return Budget{}
-	}
-	return o.Budget
-}
+// BnBOptions is SolveOptions under its former branch-and-bound name,
+// kept for the benchmark suite, which still names it.
+type BnBOptions = SolveOptions
 
 // BranchAndBound finds the exact optimal ordering by depth-first search
 // over bottom-set prefixes with three prunings:
@@ -72,7 +27,7 @@ func (o *BnBOptions) budget() Budget {
 // cells live at the peak, Remark 1), the search keeps only the tables
 // along one DFS path — Θ(2ⁿ⁺¹) cells — trading recomputation for space.
 // Exactness is unconditional; experiment E15 measures the trade.
-func BranchAndBound(tt *truthtable.Table, opts *BnBOptions) *Result {
+func BranchAndBound(tt *truthtable.Table, opts *SolveOptions) *Result {
 	return mustResult(BranchAndBoundCtx(nil, tt, opts))
 }
 
@@ -83,7 +38,7 @@ func BranchAndBound(tt *truthtable.Table, opts *BnBOptions) *Result {
 // after at least one complete ordering was evaluated, the returned
 // Result holds the best incumbent (not proven optimal) alongside the
 // ErrCanceled / ErrBudgetExceeded error.
-func BranchAndBoundCtx(ctx stdctx.Context, tt *truthtable.Table, opts *BnBOptions) (*Result, error) {
+func BranchAndBoundCtx(ctx stdctx.Context, tt *truthtable.Table, opts *SolveOptions) (*Result, error) {
 	rule, tr := opts.rule(), opts.trace()
 	m := meterFor(opts.meter(), opts.budget())
 	lim := newLimiter(ctx, opts.budget(), m)
@@ -184,8 +139,11 @@ func BranchAndBoundCtx(ctx stdctx.Context, tt *truthtable.Table, opts *BnBOption
 	}
 	if !found {
 		// The seeded bound was at or below the true optimum, so no
-		// complete ordering was ever recorded; rerun unseeded.
-		return BranchAndBoundCtx(ctx, tt, &BnBOptions{Rule: rule, Meter: opts.meter(), Trace: tr, Budget: opts.budget()})
+		// complete ordering was ever recorded; rerun unseeded. Only a
+		// positive InitialBound gets here, so opts is non-nil.
+		rerun := *opts
+		rerun.InitialBound = 0
+		return BranchAndBoundCtx(ctx, tt, &rerun)
 	}
 	finishMetrics(m)
 	return finishResult(tt, truthtable.Ordering(bestOrder), best, rule), nil

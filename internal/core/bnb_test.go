@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"obddopt/internal/obs"
 	"obddopt/internal/truthtable"
 )
 
@@ -29,7 +30,7 @@ func TestBranchAndBoundZDD(t *testing.T) {
 		n := 2 + trial%5
 		f := truthtable.Random(n, rng)
 		fs := OptimalOrdering(f, &SolveOptions{Rule: ZDD})
-		bb := BranchAndBound(f, &BnBOptions{Rule: ZDD})
+		bb := BranchAndBound(f, &SolveOptions{Rule: ZDD})
 		if fs.MinCost != bb.MinCost {
 			t.Fatalf("ZDD n=%d: B&B %d != FS %d (f=%s)", n, bb.MinCost, fs.MinCost, f.Hex())
 		}
@@ -40,8 +41,8 @@ func TestBranchAndBoundLowerBoundAblation(t *testing.T) {
 	rng := rand.New(rand.NewSource(113))
 	f := truthtable.Random(7, rng)
 	withLB, withoutLB := &Meter{}, &Meter{}
-	a := BranchAndBound(f, &BnBOptions{Meter: withLB})
-	b := BranchAndBound(f, &BnBOptions{Meter: withoutLB, DisableLowerBound: true})
+	a := BranchAndBound(f, &SolveOptions{Meter: withLB})
+	b := BranchAndBound(f, &SolveOptions{Meter: withoutLB, DisableLowerBound: true})
 	if a.MinCost != b.MinCost {
 		t.Fatalf("lower bound changed the optimum")
 	}
@@ -57,8 +58,8 @@ func TestBranchAndBoundSeededBound(t *testing.T) {
 	// Seeding with the exact optimum + 1 must still find the optimum and
 	// prune at least as much as unseeded.
 	seeded, unseeded := &Meter{}, &Meter{}
-	a := BranchAndBound(f, &BnBOptions{InitialBound: exact.MinCost + 1, Meter: seeded})
-	b := BranchAndBound(f, &BnBOptions{Meter: unseeded})
+	a := BranchAndBound(f, &SolveOptions{InitialBound: exact.MinCost + 1, Meter: seeded})
+	b := BranchAndBound(f, &SolveOptions{Meter: unseeded})
 	if a.MinCost != exact.MinCost || b.MinCost != exact.MinCost {
 		t.Fatalf("seeded/unseeded optimum wrong: %d %d vs %d", a.MinCost, b.MinCost, exact.MinCost)
 	}
@@ -67,9 +68,24 @@ func TestBranchAndBoundSeededBound(t *testing.T) {
 	}
 	// Seeding BELOW the optimum triggers the documented unseeded rerun.
 	if exact.MinCost > 0 {
-		c := BranchAndBound(f, &BnBOptions{InitialBound: exact.MinCost})
+		c := BranchAndBound(f, &SolveOptions{InitialBound: exact.MinCost})
 		if c.MinCost != exact.MinCost {
 			t.Errorf("under-seeded run returned %d, want %d", c.MinCost, exact.MinCost)
+		}
+	}
+	// The rerun keeps every other option: with the lower bound disabled,
+	// neither pass may prune by it.
+	rng = rand.New(rand.NewSource(4242))
+	for n := 4; n <= 8; n++ {
+		f := truthtable.Random(n, rng)
+		want := OptimalOrdering(f, nil).MinCost
+		rec := obs.NewRecorder()
+		got := BranchAndBound(f, &SolveOptions{InitialBound: want, DisableLowerBound: true, Trace: rec})
+		if got.MinCost != want {
+			t.Errorf("n=%d: seeded at the optimum without the lower bound: MinCost %d, want %d", n, got.MinCost, want)
+		}
+		if c := rec.Count(obs.KindBnBPruneBound); c != 0 {
+			t.Errorf("n=%d: %d lower-bound prunes with the lower bound disabled", n, c)
 		}
 	}
 }
@@ -80,7 +96,7 @@ func TestBranchAndBoundSpaceAdvantage(t *testing.T) {
 	rng := rand.New(rand.NewSource(115))
 	f := truthtable.Random(9, rng)
 	bbM, fsM := &Meter{}, &Meter{}
-	BranchAndBound(f, &BnBOptions{Meter: bbM})
+	BranchAndBound(f, &SolveOptions{Meter: bbM})
 	OptimalOrdering(f, &SolveOptions{Meter: fsM})
 	if bbM.PeakCells >= fsM.PeakCells {
 		t.Errorf("B&B peak %d not below FS peak %d", bbM.PeakCells, fsM.PeakCells)

@@ -7,50 +7,12 @@ import (
 	"obddopt/internal/truthtable"
 )
 
-// BruteForceOptions configures the exhaustive baseline.
-type BruteForceOptions struct {
-	// Rule selects the diagram variant (OBDD or ZDD).
-	Rule Rule
-	// Meter, if non-nil, accumulates operation counts.
-	Meter *Meter
-	// Prune enables branch-and-bound pruning: a partial ordering whose
-	// accumulated cost already reaches the best known total is abandoned.
-	// With Prune false the search visits every ordering prefix, realizing
-	// the full O*(n!·2^n) work the papers quote for brute force.
-	Prune bool
-	// Budget bounds the run's resources (live cells, prefix
-	// extensions); the zero value is unlimited. Enforced only by
-	// BruteForceCtx.
-	Budget Budget
-}
-
-func (o *BruteForceOptions) rule() Rule {
-	if o == nil {
-		return OBDD
-	}
-	return o.Rule
-}
-
-func (o *BruteForceOptions) meter() *Meter {
-	if o == nil {
-		return nil
-	}
-	return o.Meter
-}
-
-func (o *BruteForceOptions) budget() Budget {
-	if o == nil {
-		return Budget{}
-	}
-	return o.Budget
-}
-
 // BruteForce finds the exact optimal ordering by exhaustive search over all
 // n! orderings, sharing work across common prefixes (a DFS over ordering
 // prefixes, each step one table compaction). This is the trivial baseline
 // whose O*(n!·2^n) bound both papers quote; it exists to validate FS and to
 // realize experiment E5. It returns the same Result an FS run would.
-func BruteForce(tt *truthtable.Table, opts *BruteForceOptions) *Result {
+func BruteForce(tt *truthtable.Table, opts *SolveOptions) *Result {
 	return mustResult(BruteForceCtx(nil, tt, opts))
 }
 
@@ -59,7 +21,7 @@ func BruteForce(tt *truthtable.Table, opts *BruteForceOptions) *Result {
 // branch-and-bound search, an early stop returns the best incumbent
 // found so far (if any complete ordering was reached) alongside the
 // ErrCanceled / ErrBudgetExceeded error.
-func BruteForceCtx(ctx stdctx.Context, tt *truthtable.Table, opts *BruteForceOptions) (*Result, error) {
+func BruteForceCtx(ctx stdctx.Context, tt *truthtable.Table, opts *SolveOptions) (*Result, error) {
 	m := meterFor(opts.meter(), opts.budget())
 	base := baseContext(tt)
 	m.alloc(base.cells())
@@ -78,7 +40,7 @@ func BruteForceCtx(ctx stdctx.Context, tt *truthtable.Table, opts *BruteForceOpt
 // ordering found achieving it, or a nil ordering when the search stopped
 // before completing one. The base's own cells stay the caller's to
 // meter.
-func bruteForce(ctx stdctx.Context, base *fsContext, opts *BruteForceOptions, m *Meter) (uint64, truthtable.Ordering, error) {
+func bruteForce(ctx stdctx.Context, base *fsContext, opts *SolveOptions, m *Meter) (uint64, truthtable.Ordering, error) {
 	rule := opts.rule()
 	lim := newLimiter(ctx, opts.budget(), m)
 	obs.Metrics.RunsStarted.Inc()

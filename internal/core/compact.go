@@ -165,14 +165,6 @@ type fsContext struct {
 // nextID returns the ID the next created node will receive.
 func (c *fsContext) nextID() uint32 { return c.nTerm + uint32(c.cost) }
 
-// clone returns a deep copy of the context. The copy's table is a plain
-// heap slice independent of any arena, so it outlives every workspace.
-func (c *fsContext) clone() *fsContext {
-	t := make([]uint32, len(c.table))
-	copy(t, c.table)
-	return &fsContext{n: c.n, free: c.free, table: t, cost: c.cost, nTerm: c.nTerm}
-}
-
 // cells returns the table length as a uint64.
 func (c *fsContext) cells() uint64 { return uint64(len(c.table)) }
 

@@ -91,23 +91,3 @@ func TestMeterResetAndUnderflow(t *testing.T) {
 		t.Fatalf("LiveCells = %d after over-free, want 0", m.LiveCells)
 	}
 }
-
-// TestFSContextClone checks the deep-copy contract: the clone's table is
-// independent storage with identical contents and metadata.
-func TestFSContextClone(t *testing.T) {
-	tt := truthtable.Random(4, rand.New(rand.NewSource(212)))
-	c := baseContext(tt)
-	cl := c.clone()
-	if cl.n != c.n || cl.free != c.free || cl.cost != c.cost || cl.nTerm != c.nTerm {
-		t.Fatalf("clone metadata %+v != original %+v", cl, c)
-	}
-	for i := range c.table {
-		if cl.table[i] != c.table[i] {
-			t.Fatalf("clone table differs at %d", i)
-		}
-	}
-	cl.table[0] ^= 1
-	if c.table[0] == cl.table[0] {
-		t.Fatal("clone shares table storage with the original")
-	}
-}

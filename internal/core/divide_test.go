@@ -31,7 +31,7 @@ func TestDnCEqualsFSWithSingleSplit(t *testing.T) {
 		n := 5 + trial%3
 		f := truthtable.Random(n, rng)
 		fs := OptimalOrdering(f, nil)
-		dnc := DivideAndConquer(f, &DnCOptions{Alphas: []float64{0.4}})
+		dnc := DivideAndConquer(f, &SolveOptions{Alphas: []float64{0.4}})
 		if fs.MinCost != dnc.MinCost {
 			t.Fatalf("n=%d single split: DnC %d != FS %d", n, dnc.MinCost, fs.MinCost)
 		}
@@ -43,7 +43,7 @@ func TestDnCThreeSplits(t *testing.T) {
 	n := 8
 	f := truthtable.Random(n, rng)
 	fs := OptimalOrdering(f, nil)
-	dnc := DivideAndConquer(f, &DnCOptions{Alphas: []float64{0.2, 0.45, 0.7}})
+	dnc := DivideAndConquer(f, &SolveOptions{Alphas: []float64{0.2, 0.45, 0.7}})
 	if fs.MinCost != dnc.MinCost {
 		t.Fatalf("three splits: DnC %d != FS %d", dnc.MinCost, fs.MinCost)
 	}
@@ -55,7 +55,7 @@ func TestDnCZDDRule(t *testing.T) {
 		n := 5 + trial%3
 		f := truthtable.Random(n, rng)
 		fs := OptimalOrdering(f, &SolveOptions{Rule: ZDD})
-		dnc := DivideAndConquer(f, &DnCOptions{Rule: ZDD})
+		dnc := DivideAndConquer(f, &SolveOptions{Rule: ZDD})
 		if fs.MinCost != dnc.MinCost {
 			t.Fatalf("ZDD n=%d: DnC %d != FS %d", n, dnc.MinCost, fs.MinCost)
 		}
@@ -90,7 +90,7 @@ func TestDnCWithDurrHoyerSimulator(t *testing.T) {
 	qm := &quantum.Meter{}
 	f := truthtable.Random(7, rng)
 	fs := OptimalOrdering(f, nil)
-	dnc := DivideAndConquer(f, &DnCOptions{
+	dnc := DivideAndConquer(f, &SolveOptions{
 		Minimizer: &quantum.DurrHoyer{Rng: rng, Meter: qm},
 	})
 	if fs.MinCost != dnc.MinCost {
@@ -113,7 +113,7 @@ func TestDnCNoisyMinimizerStaysValid(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		f := truthtable.Random(6, rng)
 		fs := OptimalOrdering(f, nil)
-		dnc := DivideAndConquer(f, &DnCOptions{
+		dnc := DivideAndConquer(f, &SolveOptions{
 			Minimizer: &quantum.Noisy{Eps: 1, Rng: rng},
 		})
 		if !dnc.Ordering.Valid() {
@@ -137,7 +137,7 @@ func TestDnCNoisyMinimizerStaysValid(t *testing.T) {
 func TestDnCMeterLeakFree(t *testing.T) {
 	m := &Meter{}
 	f := achilles(3)
-	DivideAndConquer(f, &DnCOptions{Meter: m})
+	DivideAndConquer(f, &SolveOptions{Meter: m})
 	if m.LiveCells != 0 {
 		t.Errorf("LiveCells = %d after DnC, want 0 (table leak)", m.LiveCells)
 	}
@@ -181,5 +181,98 @@ func TestSubsetsWithin(t *testing.T) {
 		if s&^L != 0 || s.Count() != 2 {
 			t.Errorf("bad subset %#b of %#b", s, L)
 		}
+	}
+}
+
+// The composition ladder of Section 4 (Lemmas 11/12) is DivideAndConquer
+// at Depth ≥ 1: the extension subroutine Γ is itself OptOBDD_Γ.
+
+func TestLadderAllDepthsExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(172))
+	for trial := 0; trial < 6; trial++ {
+		n := 6 + trial%3
+		f := truthtable.Random(n, rng)
+		want := OptimalOrdering(f, nil).MinCost
+		for depth := 0; depth <= 2; depth++ {
+			got := DivideAndConquer(f, &SolveOptions{Depth: depth})
+			if got.MinCost != want {
+				t.Fatalf("n=%d depth=%d: %d != FS %d", n, depth, got.MinCost, want)
+			}
+			if v := SizeUnder(f, got.Ordering, OBDD, nil); v != got.Size {
+				t.Fatalf("n=%d depth=%d: ordering does not realize size", n, depth)
+			}
+		}
+	}
+}
+
+func TestLadderZDD(t *testing.T) {
+	rng := rand.New(rand.NewSource(173))
+	f := truthtable.Random(7, rng)
+	want := OptimalOrdering(f, &SolveOptions{Rule: ZDD}).MinCost
+	for depth := 0; depth <= 1; depth++ {
+		got := DivideAndConquer(f, &SolveOptions{Rule: ZDD, Depth: depth})
+		if got.MinCost != want {
+			t.Fatalf("depth=%d: ZDD ladder %d != FS %d", depth, got.MinCost, want)
+		}
+	}
+}
+
+func TestLadderQueriesGrowWithDepth(t *testing.T) {
+	// Deeper composition invokes minimum finding inside the extension
+	// calls, so the metered query count (and invocation count) grows
+	// with depth on the same instance — the structural signature of
+	// Theorem 13's tower.
+	rng := rand.New(rand.NewSource(174))
+	f := truthtable.Random(8, rng)
+	var prevInvocations uint64
+	for depth := 0; depth <= 2; depth++ {
+		qm := &quantum.Meter{}
+		DivideAndConquer(f, &SolveOptions{
+			Depth:     depth,
+			Minimizer: &quantum.Exact{Eps: 1e-6, Meter: qm},
+		})
+		if qm.Invocations <= prevInvocations {
+			t.Errorf("depth %d: invocations %d did not grow (prev %d)",
+				depth, qm.Invocations, prevInvocations)
+		}
+		prevInvocations = qm.Invocations
+	}
+}
+
+func TestLadderMeterLeakFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(175))
+	f := truthtable.Random(7, rng)
+	for depth := 0; depth <= 2; depth++ {
+		m := &Meter{}
+		DivideAndConquer(f, &SolveOptions{Depth: depth, Meter: m})
+		if m.LiveCells != 0 {
+			t.Fatalf("depth %d: LiveCells %d after run", depth, m.LiveCells)
+		}
+	}
+}
+
+func TestLadderNoisyStaysValid(t *testing.T) {
+	rng := rand.New(rand.NewSource(176))
+	f := truthtable.Random(6, rng)
+	opt := OptimalOrdering(f, nil).MinCost
+	res := DivideAndConquer(f, &SolveOptions{
+		Minimizer: &quantum.Noisy{Eps: 1, Rng: rng},
+	})
+	if !res.Ordering.Valid() {
+		t.Fatalf("noisy ladder produced invalid ordering")
+	}
+	if res.MinCost < opt {
+		t.Fatalf("noisy ladder beat the optimum")
+	}
+	if got := SizeUnder(f, res.Ordering, OBDD, nil); got != res.Size {
+		t.Fatalf("noisy ladder misreports size")
+	}
+}
+
+func TestLadderTinyInput(t *testing.T) {
+	f := truthtable.Var(2, 1)
+	res := DivideAndConquer(f, &SolveOptions{Depth: 2})
+	if res.MinCost != 1 {
+		t.Fatalf("tiny ladder MinCost %d", res.MinCost)
 	}
 }

@@ -103,7 +103,7 @@ func TestPreCanceledContext(t *testing.T) {
 func TestBudgetNodesBnBIncumbent(t *testing.T) {
 	tt := truthtable.Random(8, rand.New(rand.NewSource(3)))
 	m := &Meter{}
-	res, err := BranchAndBoundCtx(nil, tt, &BnBOptions{Meter: m, Budget: Budget{MaxNodes: 60}})
+	res, err := BranchAndBoundCtx(nil, tt, &SolveOptions{Meter: m, Budget: Budget{MaxNodes: 60}})
 	if !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
 	}
@@ -144,7 +144,9 @@ func TestBudgetCells(t *testing.T) {
 }
 
 // TestCancelSharedAndDnC covers the remaining context-aware entry points'
-// abort bookkeeping.
+// abort bookkeeping. Divide-and-conquer is swept over node budgets at
+// every composition depth, so a stop lands in the preprocessing DP, in
+// minimizer-driven evaluations and in the winning split's recomputation.
 func TestCancelSharedAndDnC(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	tts := []*truthtable.Table{truthtable.Random(8, rng), truthtable.Random(8, rng)}
@@ -156,17 +158,39 @@ func TestCancelSharedAndDnC(t *testing.T) {
 		t.Errorf("shared: LiveCells = %d after abort, want 0", m.LiveCells)
 	}
 
-	tt := truthtable.Random(10, rng)
-	m2 := &Meter{}
-	res, err := DivideAndConquerCtx(nil, tt, &DnCOptions{Meter: m2, Budget: Budget{MaxNodes: 200}})
-	if !errors.Is(err, ErrBudgetExceeded) {
-		t.Fatalf("dnc: err = %v, want ErrBudgetExceeded", err)
-	}
-	if res != nil {
-		t.Fatalf("dnc: res = %+v, want nil", res)
-	}
-	if m2.LiveCells != 0 {
-		t.Errorf("dnc: LiveCells = %d after abort, want 0", m2.LiveCells)
+	canceled, cancel := stdctx.WithCancel(stdctx.Background())
+	cancel()
+	for _, n := range []int{6, 8} {
+		tt := truthtable.Random(n, rng)
+		want := OptimalOrdering(tt, nil).MinCost
+		for depth := 0; depth <= 2; depth++ {
+			// Every DnC checkpoint is one DP transition, so an
+			// unbudgeted run's compaction count is its node count.
+			full := &Meter{}
+			DivideAndConquer(tt, &SolveOptions{Meter: full, Depth: depth})
+			nodes := full.Compactions
+			budgets := []uint64{nodes - 1}
+			for b := uint64(1); b < nodes-1; b += nodes/32 + 1 {
+				budgets = append(budgets, b)
+			}
+			for _, b := range budgets {
+				m := &Meter{}
+				res, err := DivideAndConquerCtx(nil, tt, &SolveOptions{Meter: m, Depth: depth, Budget: Budget{MaxNodes: b}})
+				if !errors.Is(err, ErrBudgetExceeded) || res != nil {
+					t.Fatalf("n=%d depth=%d MaxNodes=%d of %d: res = %v, err = %v; want nil, ErrBudgetExceeded", n, depth, b, nodes, res, err)
+				}
+				if m.LiveCells != 0 {
+					t.Fatalf("n=%d depth=%d MaxNodes=%d: LiveCells = %d after abort, want 0", n, depth, b, m.LiveCells)
+				}
+			}
+			if _, err := DivideAndConquerCtx(canceled, tt, &SolveOptions{Depth: depth}); !errors.Is(err, ErrCanceled) {
+				t.Errorf("n=%d depth=%d: pre-canceled err = %v, want ErrCanceled", n, depth, err)
+			}
+			res, err := DivideAndConquerCtx(nil, tt, &SolveOptions{Depth: depth, Budget: Budget{MaxNodes: nodes}})
+			if err != nil || res.MinCost != want {
+				t.Errorf("n=%d depth=%d MaxNodes=%d: res = %v, err = %v; want MinCost %d", n, depth, nodes, res, err, want)
+			}
+		}
 	}
 }
 

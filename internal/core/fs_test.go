@@ -143,7 +143,7 @@ func TestBruteForcePruningEquivalent(t *testing.T) {
 		n := 3 + trial%3
 		f := truthtable.Random(n, rng)
 		plain := BruteForce(f, nil)
-		pruned := BruteForce(f, &BruteForceOptions{Prune: true})
+		pruned := BruteForce(f, &SolveOptions{Prune: true})
 		if plain.MinCost != pruned.MinCost {
 			t.Fatalf("pruning changed the optimum: %d vs %d", plain.MinCost, pruned.MinCost)
 		}

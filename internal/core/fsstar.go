@@ -80,12 +80,3 @@ func OptimalOrderingBlocks(tt *truthtable.Table, blocks []bitops.Mask, opts *Sol
 	m.free(base.cells())
 	return res
 }
-
-// extendAll runs FS* in its general form (Lemma 8): starting from a
-// context, it produces the DP state holding FS(⟨…, K⟩) for all K ⊆ J with
-// |K| = stop. It is the preprocessing and composition step of the
-// divide-and-conquer algorithm. The caller retires the returned state
-// with Release when done.
-func extendAll(ctx *fsContext, J bitops.Mask, stop int, rule Rule, m *Meter) *dpState {
-	return mustResult(runDP(ctx, J, stop, rule, m, nil, nil))
-}

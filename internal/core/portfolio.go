@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"obddopt/internal/obs"
+	"obddopt/internal/quantum"
 	"obddopt/internal/truthtable"
 )
 
@@ -18,10 +19,10 @@ import (
 // heuristic phase. The heuristic phase otherwise runs only after an
 // early stop, to hand back a valid but unproven incumbent.
 
-// SolveOptions is the option set shared by every registered solver. It is
-// a superset of the per-algorithm option structs: fields irrelevant to a
-// given solver (Workers for the serial DP, Seeder for anything but the
-// portfolio) are ignored.
+// SolveOptions is the option set shared by every solver. Fields
+// irrelevant to a given solver (Workers for the serial DP, Seeder for
+// anything but the portfolio, Alphas for anything but divide-and-conquer)
+// are ignored.
 type SolveOptions struct {
 	// Rule selects the diagram variant (OBDD or ZDD).
 	Rule Rule
@@ -56,6 +57,37 @@ type SolveOptions struct {
 	// Seeder overrides the heuristic seeding phase of the portfolio; nil
 	// selects DefaultSeeder.
 	Seeder Seeder
+	// InitialBound seeds branch-and-bound's incumbent with a known upper
+	// bound on MinCost (e.g. from a heuristic); 0 means start unbounded.
+	// A tight seed can prune most of the search.
+	InitialBound uint64
+	// DisableLowerBound turns off branch-and-bound's dependence-count
+	// lower bound, leaving only memo/incumbent pruning (for ablation
+	// measurements).
+	DisableLowerBound bool
+	// Prune enables brute force's branch-and-bound pruning: a partial
+	// ordering whose accumulated cost already reaches the best known
+	// total is abandoned. With Prune false the search visits every
+	// ordering prefix, realizing the full O*(n!·2^n) work the papers
+	// quote for brute force.
+	Prune bool
+	// Minimizer performs divide-and-conquer's minimum finding over
+	// division-point candidates. Nil selects the exact simulator
+	// (quantum.Exact with ε = 2^−n), which also receives Trace's quantum
+	// query batches; a caller-supplied Minimizer wires its own Trace
+	// field if batch events are wanted.
+	Minimizer quantum.Minimizer
+	// Alphas are divide-and-conquer's division fractions
+	// 0 < α₁ < … < α_k < 1 of Theorems 10/13. Nil selects DefaultAlphas.
+	// Fractions are rounded to level counts and deduplicated for small n.
+	Alphas []float64
+	// Depth is divide-and-conquer's composition depth (Section 4). At 0
+	// the extension subroutine Γ that absorbs each block above a
+	// division point is the classical FS* (Lemma 11); at d > 0 it is a
+	// depth-(d−1) OptOBDD_Γ (Lemma 12), which divides the block again.
+	// The papers iterate to depth 9 for Theorem 13; exact results are
+	// identical at every depth. Negative values act as 0.
+	Depth int
 }
 
 func (o *SolveOptions) rule() Rule {
@@ -171,14 +203,10 @@ func SolverNames() []string {
 func init() {
 	RegisterSolver("fs", OptimalOrderingCtx)
 	RegisterSolver("parallel", OptimalOrderingParallel)
-	RegisterSolver("bnb", func(ctx stdctx.Context, tt *truthtable.Table, opts *SolveOptions) (*Result, error) {
-		return BranchAndBoundCtx(ctx, tt, &BnBOptions{Rule: opts.rule(), Meter: opts.meter(), Trace: opts.trace(), Budget: opts.budget()})
-	})
-	RegisterSolver("dnc", func(ctx stdctx.Context, tt *truthtable.Table, opts *SolveOptions) (*Result, error) {
-		return DivideAndConquerCtx(ctx, tt, &DnCOptions{Rule: opts.rule(), Meter: opts.meter(), Trace: opts.trace(), Budget: opts.budget()})
-	})
+	RegisterSolver("bnb", BranchAndBoundCtx)
+	RegisterSolver("dnc", DivideAndConquerCtx)
 	RegisterSolver("brute", func(ctx stdctx.Context, tt *truthtable.Table, opts *SolveOptions) (*Result, error) {
-		return BruteForceCtx(ctx, tt, &BruteForceOptions{Rule: opts.rule(), Meter: opts.meter(), Budget: opts.budget(), Prune: true})
+		return BruteForceCtx(ctx, tt, &SolveOptions{Rule: opts.rule(), Meter: opts.meter(), Budget: opts.budget(), Prune: true})
 	})
 	RegisterSolver("portfolio", Portfolio)
 }
@@ -234,13 +262,12 @@ func Portfolio(ctx stdctx.Context, tt *truthtable.Table, opts *SolveOptions) (*R
 	var res *Result
 	var err error
 	if engine == "bnb" {
-		bo := &BnBOptions{Rule: o.Rule, Meter: m, Trace: o.Trace, Budget: o.Budget}
 		if inc != nil {
 			// One above the incumbent, so an optimal incumbent is still
 			// rediscovered (and thereby proven) rather than pruned away.
-			bo.InitialBound = inc.MinCost + 1
+			o.InitialBound = inc.MinCost + 1
 		}
-		res, err = BranchAndBoundCtx(ctx, tt, bo)
+		res, err = BranchAndBoundCtx(ctx, tt, &o)
 	} else {
 		res, err = optimalOrderingOrbits(ctx, tt, groups, &o)
 	}

@@ -167,7 +167,7 @@ func TestZDDOptimalAgreesWithBruteForce(t *testing.T) {
 		n := 2 + trial%4
 		f := truthtable.Random(n, rng)
 		fs := OptimalOrdering(f, &SolveOptions{Rule: ZDD})
-		bf := BruteForce(f, &BruteForceOptions{Rule: ZDD})
+		bf := BruteForce(f, &SolveOptions{Rule: ZDD})
 		if fs.MinCost != bf.MinCost {
 			t.Fatalf("ZDD n=%d: FS %d != BF %d (f=%s)", n, fs.MinCost, bf.MinCost, f.Hex())
 		}

@@ -209,6 +209,6 @@ func BruteForceShared(tts []*truthtable.Table, rule Rule) *SharedResult {
 	}
 	base := baseContextShared(tts)
 	// Without a context or budget the search cannot stop early.
-	best, order, _ := bruteForce(nil, base, &BruteForceOptions{Rule: rule}, nil)
+	best, order, _ := bruteForce(nil, base, &SolveOptions{Rule: rule}, nil)
 	return newSharedResult(tts, base, rule, best, order)
 }

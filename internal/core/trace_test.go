@@ -88,7 +88,7 @@ func TestTraceBnBCellOps(t *testing.T) {
 	tt := traceFixture(t)
 	rec := obs.NewRecorder()
 	m := &Meter{}
-	res := BranchAndBound(tt, &BnBOptions{Meter: m, Trace: rec})
+	res := BranchAndBound(tt, &SolveOptions{Meter: m, Trace: rec})
 
 	if got := rec.Count(obs.KindBnBExpand); got == 0 {
 		t.Fatalf("no BnBExpand events")
@@ -117,7 +117,7 @@ func TestTraceDnC(t *testing.T) {
 	tt := traceFixture(t)
 	rec := obs.NewRecorder()
 	m := &Meter{}
-	res := DivideAndConquer(tt, &DnCOptions{Meter: m, Trace: rec})
+	res := DivideAndConquer(tt, &SolveOptions{Meter: m, Trace: rec})
 
 	splits := rec.Count(obs.KindDnCSplit)
 	merges := rec.Count(obs.KindDnCMerge)
@@ -195,5 +195,5 @@ func TestTraceNilSafety(t *testing.T) {
 	BranchAndBound(tt, nil)
 	DivideAndConquer(tt, nil)
 	BruteForce(tt, nil)
-	DivideAndConquerComposed(tt, &LadderOptions{Depth: 1})
+	DivideAndConquer(tt, &SolveOptions{Depth: 1})
 }

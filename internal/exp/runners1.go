@@ -133,7 +133,7 @@ func E5(w io.Writer, cfg Config) error {
 		f := truthtable.Random(n, rng)
 		bm, fm := &core.Meter{}, &core.Meter{}
 		t0 := time.Now()
-		bf := core.BruteForce(f, &core.BruteForceOptions{Meter: bm})
+		bf := core.BruteForce(f, &core.SolveOptions{Meter: bm})
 		bfTime := time.Since(t0)
 		t0 = time.Now()
 		fs := core.OptimalOrdering(f, &core.SolveOptions{Meter: fm})

@@ -39,7 +39,7 @@ func E6(w io.Writer, cfg Config) error {
 		f := truthtable.Random(n, rng)
 		qm := &quantum.Meter{}
 		dm := &core.Meter{}
-		dnc := core.DivideAndConquer(f, &core.DnCOptions{
+		dnc := core.DivideAndConquer(f, &core.SolveOptions{
 			Meter:     dm,
 			Minimizer: &quantum.Exact{Eps: math.Pow(2, -float64(n)), Meter: qm},
 			Alphas:    []float64{0.274862},

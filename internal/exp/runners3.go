@@ -145,7 +145,7 @@ func E13(w io.Writer, cfg Config) error {
 		subopt, valid := 0, 0
 		var sizeSum uint64
 		for trial := 0; trial < trials; trial++ {
-			res := core.DivideAndConquer(f, &core.DnCOptions{
+			res := core.DivideAndConquer(f, &core.SolveOptions{
 				Minimizer: &quantum.Noisy{Eps: eps, Rng: rng},
 			})
 			if res.Ordering.Valid() && core.SizeUnder(f, res.Ordering, core.OBDD, nil) == res.Size {

@@ -29,8 +29,8 @@ func E15(w io.Writer, cfg Config) error {
 		f := truthtable.Random(n, rng)
 		fsM, bbM, nlM := &core.Meter{}, &core.Meter{}, &core.Meter{}
 		fs := core.OptimalOrdering(f, &core.SolveOptions{Meter: fsM})
-		bb := core.BranchAndBound(f, &core.BnBOptions{Meter: bbM})
-		core.BranchAndBound(f, &core.BnBOptions{Meter: nlM, DisableLowerBound: true})
+		bb := core.BranchAndBound(f, &core.SolveOptions{Meter: bbM})
+		core.BranchAndBound(f, &core.SolveOptions{Meter: nlM, DisableLowerBound: true})
 		if fs.MinCost != bb.MinCost {
 			return fmt.Errorf("E15: disagreement at n=%d", n)
 		}

@@ -217,8 +217,8 @@ type artifactMode int
 
 const (
 	artifactNone artifactMode = iota
-	artifactJSON               // ?include=bdd → "bdd" field, base64
-	artifactRaw                // Accept: application/x-obdd → binary body
+	artifactJSON              // ?include=bdd → "bdd" field, base64
+	artifactRaw               // Accept: application/x-obdd → binary body
 )
 
 // negotiateArtifact resolves the request's artifact mode. The Accept

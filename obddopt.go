@@ -187,8 +187,8 @@ func GroupSift(f *Table, rule Rule) GroupSiftResult { return sym.GroupSift(f, ru
 
 // Tracer receives typed solver events (DP layers, compactions,
 // branch-and-bound nodes, divide-and-conquer splits, heuristic passes,
-// quantum query batches); attach one via Options.Trace or the per-solver
-// option structs. A nil tracer costs nothing.
+// quantum query batches); attach one to a solve with WithTrace. A nil
+// tracer costs nothing.
 type Tracer = obs.Tracer
 
 // TraceEvent is one typed solver event; see internal/obs for the kinds
