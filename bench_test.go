@@ -16,6 +16,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"obddopt/internal/conformance"
 	"obddopt/internal/core"
 	"obddopt/internal/exp"
 	"obddopt/internal/funcs"
@@ -219,4 +220,54 @@ func BenchmarkDivideAndConquer9(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		core.DivideAndConquer(f, nil)
 	}
+}
+
+// BenchmarkEngineFrontier times the work-stealing DP engine alone on the
+// workload suite's dp-frontier mix, at two workers. One op is one pass
+// over 18 single-root solves through core.OptimalOrderingParallel
+// (random, sparse and symmetric tables × OBDD/ZDD × n 12–14) and 6
+// shared-forest solves of 3 random roots at n=12 through
+// core.OptimalOrderingSharedParallel, alternating the rule: the suite's
+// one shared solve in four. Besides ns/op it reports ns per metered cell
+// operation, Theorem 5's unit.
+func BenchmarkEngineFrontier(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	rules := []core.Rule{core.OBDD, core.ZDD}
+	type single struct {
+		tt   *truthtable.Table
+		rule core.Rule
+	}
+	var singles []single
+	for _, fam := range conformance.Families() {
+		if fam.Name != "random" && fam.Name != "sparse" && fam.Name != "symmetric" {
+			continue
+		}
+		for _, rule := range rules {
+			for n := 12; n <= 14; n++ {
+				singles = append(singles, single{fam.New(n, rng), rule})
+			}
+		}
+	}
+	forests := make([][]*truthtable.Table, 6)
+	for f := range forests {
+		for r := 0; r < 3; r++ {
+			forests[f] = append(forests[f], truthtable.Random(12, rng))
+		}
+	}
+	m := &core.Meter{}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, s := range singles {
+			if _, err := core.OptimalOrderingParallel(nil, s.tt, &core.SolveOptions{Rule: s.rule, Workers: 2, Meter: m}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for f, roots := range forests {
+			if _, err := core.OptimalOrderingSharedParallel(nil, roots, &core.SolveOptions{Rule: rules[f%2], Workers: 2, Meter: m}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(m.CellOps), "ns/cell")
 }

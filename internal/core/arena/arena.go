@@ -1,13 +1,13 @@
 // Package arena provides the recycled storage behind the dynamic
-// program's TABLE cells: a slab arena of power-of-two uint32 blocks and
-// a reusable open-addressed deduplication scratch. Both exist for the
-// same reason — the O*(3^n) subset DP allocates and drops one table per
-// transition, and going through the garbage collector for each (a fresh
-// zeroed slice plus a fresh map) dominates the runtime long before the
-// arithmetic does. An Arena keeps dropped blocks on per-size free lists
-// and hands them back dirty (every compaction overwrites every cell), so
-// a layer transition touches the same few cache-resident blocks over and
-// over instead of streaming new memory.
+// program's TABLE cells: a slab arena of uint32 blocks and a reusable
+// open-addressed deduplication scratch. Both exist for the same reason —
+// the O*(3^n) subset DP allocates and drops one table per transition, and
+// going through the garbage collector for each (a fresh zeroed slice plus
+// a fresh map) dominates the runtime long before the arithmetic does. An
+// Arena keeps dropped blocks on per-size free lists and hands them back
+// dirty (every compaction overwrites every cell), so a layer transition
+// touches the same few cache-resident blocks over and over instead of
+// streaming new memory.
 //
 // Arenas are deliberately trivial: they do not track outstanding blocks.
 // A block that is never Put back is simply collected by the GC with
@@ -26,13 +26,38 @@ import (
 // for truth tables, which are capped far below 2^32 cells).
 const maxClass = 33
 
-// Arena recycles []uint32 blocks in power-of-two size classes. The zero
-// value is ready to use.
+// Arena recycles []uint32 blocks by exact capacity, one free list per
+// size, so a shared forest's m·2^f-cell tables come back without rounding
+// slack. free[c] holds the lists of size class c = ceil(log2(size)), so a
+// lookup scans only the sizes sharing a class. The zero value is ready
+// to use.
 type Arena struct {
-	free [maxClass][][]uint32
+	free [maxClass][]freeList
 	// gets/reuses count block requests and free-list hits, for tests and
 	// effectiveness probes.
 	gets, reuses uint64
+}
+
+// freeList holds the free blocks of one exact size.
+type freeList struct {
+	size   uint64
+	blocks [][]uint32
+}
+
+// list returns the free list of size-cell blocks, adding an empty one on
+// first use, or nil past the largest class.
+func (a *Arena) list(size uint64) *freeList {
+	c := class(size)
+	if c >= maxClass {
+		return nil
+	}
+	for i := range a.free[c] {
+		if l := &a.free[c][i]; l.size == size {
+			return l
+		}
+	}
+	a.free[c] = append(a.free[c], freeList{size: size})
+	return &a.free[c][len(a.free[c])-1]
 }
 
 // GetU32 returns a block with len(block) == size. The contents are
@@ -43,31 +68,25 @@ func (a *Arena) GetU32(size uint64) []uint32 {
 		return nil
 	}
 	a.gets++
-	c := class(size)
-	if c < maxClass && uint64(1)<<uint(c) == size {
-		if l := a.free[c]; len(l) > 0 {
-			b := l[len(l)-1]
-			a.free[c] = l[:len(l)-1]
-			a.reuses++
-			return b[:size]
-		}
-		return make([]uint32, size)
+	if l := a.list(size); l != nil && len(l.blocks) > 0 {
+		b := l.blocks[len(l.blocks)-1]
+		l.blocks = l.blocks[:len(l.blocks)-1]
+		a.reuses++
+		return b
 	}
-	// Off-class size: not recycled.
 	return make([]uint32, size)
 }
 
-// PutU32 returns a block to the arena for reuse. Only exact power-of-two
-// blocks (as handed out by GetU32) are recycled; others are dropped for
-// the GC. Put blocks must no longer be referenced by the caller.
+// PutU32 returns a block to the arena for reuse, filed under its
+// capacity, so a later GetU32 of that exact size gets it back. Put blocks
+// must no longer be referenced by the caller.
 func (a *Arena) PutU32(b []uint32) {
 	size := uint64(cap(b))
 	if size == 0 {
 		return
 	}
-	c := class(size)
-	if c < maxClass && uint64(1)<<uint(c) == size {
-		a.free[c] = append(a.free[c], b[:size])
+	if l := a.list(size); l != nil {
+		l.blocks = append(l.blocks, b[:size])
 	}
 }
 
@@ -85,14 +104,16 @@ func (a *Arena) Reset() {
 // returns the cells kept.
 func (a *Arena) Trim(limit uint64) (kept uint64) {
 	for c := maxClass - 1; c >= 0; c-- {
-		l := a.free[c]
-		keep := uint64(len(l))
-		if room := (limit - kept) >> uint(c); keep > room {
-			keep = room
+		for i := range a.free[c] {
+			l := &a.free[c][i]
+			keep := uint64(len(l.blocks))
+			if room := (limit - kept) / l.size; keep > room {
+				keep = room
+			}
+			clear(l.blocks[keep:])
+			l.blocks = l.blocks[:keep]
+			kept += keep * l.size
 		}
-		clear(l[keep:])
-		a.free[c] = l[:keep]
-		kept += keep << uint(c)
 	}
 	return kept
 }
@@ -100,8 +121,10 @@ func (a *Arena) Trim(limit uint64) (kept uint64) {
 // FreeCells returns the cells held on the free lists.
 func (a *Arena) FreeCells() uint64 {
 	var cells uint64
-	for c, l := range a.free {
-		cells += uint64(len(l)) << uint(c)
+	for _, lists := range a.free {
+		for _, l := range lists {
+			cells += uint64(len(l.blocks)) * l.size
+		}
 	}
 	return cells
 }

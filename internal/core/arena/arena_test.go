@@ -31,19 +31,47 @@ func TestGetPutRoundTrip(t *testing.T) {
 	}
 }
 
-func TestOffClassNotRecycled(t *testing.T) {
+// TestExactCapacityRoundTrip recycles blocks whose sizes are not powers
+// of two, a shared forest's 3·2^k-cell tables among them: each comes back
+// from its own exact-size list, with no rounding slack, and FreeCells and
+// Trim count the real capacities.
+func TestExactCapacityRoundTrip(t *testing.T) {
 	var a Arena
-	b := a.GetU32(12) // not a power of two
-	if len(b) != 12 {
-		t.Fatalf("GetU32(12) len = %d", len(b))
-	}
-	a.PutU32(b)
-	c := a.GetU32(12)
-	if len(b) > 0 && len(c) > 0 && &c[0] == &b[0] {
-		// cap(make([]uint32, 12)) may round up; only exact pow2 caps recycle.
-		if cap(b) == 12 {
-			t.Fatalf("off-class block should not be recycled")
+	sizes := []uint64{3, 12, 3 << 10, 1 << 12, 5 << 9}
+	blocks := make(map[uint64][]uint32)
+	for _, size := range sizes {
+		b := a.GetU32(size)
+		if len(b) != int(size) || cap(b) != int(size) {
+			t.Fatalf("GetU32(%d): len %d cap %d", size, len(b), cap(b))
 		}
+		b[0] = uint32(size)
+		blocks[size] = b
+	}
+	for _, size := range sizes {
+		a.PutU32(blocks[size])
+	}
+	var total uint64
+	for _, size := range sizes {
+		total += size
+	}
+	if got := a.FreeCells(); got != total {
+		t.Fatalf("FreeCells = %d, want %d", got, total)
+	}
+	// 3·2^10 and 2^12 share a size class; each request gets its own size.
+	for _, size := range sizes {
+		b := a.GetU32(size)
+		if &b[0] != &blocks[size][0] || len(b) != int(size) || b[0] != uint32(size) {
+			t.Fatalf("GetU32(%d) did not return the %d-cell block put back", size, size)
+		}
+		a.PutU32(b)
+	}
+	if gets, reuses := a.Stats(); gets != 2*uint64(len(sizes)) || reuses != uint64(len(sizes)) {
+		t.Fatalf("Stats = (%d, %d), want (%d, %d)", gets, reuses, 2*len(sizes), len(sizes))
+	}
+	// One cell short of everything: the 3-cell block, in the smallest
+	// class, is the one dropped.
+	if kept := a.Trim(total - 1); kept != total-3 || a.FreeCells() != total-3 {
+		t.Fatalf("Trim(%d) kept %d cells (%d free), want %d", total-1, kept, a.FreeCells(), total-3)
 	}
 	if a.GetU32(0) != nil {
 		t.Fatalf("GetU32(0) should be nil")
@@ -169,7 +197,7 @@ func TestTrimKeepsLargerClassesFirst(t *testing.T) {
 		t.Fatalf("kept %d cells, want %d", kept, 2*256+96+4)
 	}
 	for size, want := range map[uint64]int{256: 2, 16: 6, 2: 2} {
-		if got := len(a.free[class(size)]); got != want {
+		if got := len(a.list(size).blocks); got != want {
 			t.Errorf("class of size %d keeps %d blocks, want %d", size, got, want)
 		}
 	}
@@ -179,7 +207,7 @@ func TestTrimClearsDroppedSlots(t *testing.T) {
 	var a Arena
 	fill(&a, 32, 8)
 	a.Trim(3 * 32)
-	l := a.free[class(32)]
+	l := a.list(32).blocks
 	if len(l) != 3 {
 		t.Fatalf("kept %d blocks, want 3", len(l))
 	}

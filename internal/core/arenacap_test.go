@@ -61,14 +61,14 @@ func TestArenaCapParallel(t *testing.T) {
 }
 
 // TestArenaCapShared is TestArenaCapParallel for the shared-forest DP on
-// the engine. It alternates 2- and 4-root inputs: only their m·2^f-cell
-// tables are powers of two, the size classes the arena pools.
+// the engine. It cycles through 2-, 3- and 4-root inputs, so the pooled
+// arenas hold m·2^f-cell blocks of several sizes, some not powers of two.
 func TestArenaCapShared(t *testing.T) {
 	probe := keptCells(t)
 	rng := rand.New(rand.NewSource(15))
-	for run := 0; run < 8; run++ {
+	for run := 0; run < 9; run++ {
 		n := 6 + run%4
-		tts := randomRoots(n, 2+2*(run%2), rng)
+		tts := randomRoots(n, 2+run/3, rng)
 		m := &Meter{}
 		opts := &SolveOptions{Rule: []Rule{OBDD, ZDD}[run/2%2], Meter: m, Workers: 4, ShardBits: 1}
 		if run%3 == 2 {

@@ -125,6 +125,16 @@ func BranchAndBoundCtx(ctx stdctx.Context, tt *truthtable.Table, opts *SolveOpti
 		return nil
 	}
 	err := dfs(base, 0)
+	if err == nil && !found {
+		// The seeded bound was at or below the true optimum, so no
+		// complete ordering was ever recorded: rerun unseeded, on the
+		// same limiter and meter, so the first pass's expansions and
+		// cells count against the budget. Only a positive InitialBound
+		// gets here.
+		best = ^uint64(0)
+		clear(memo)
+		err = dfs(base, 0)
+	}
 	m.free(base.cells())
 	obs.Metrics.CellOps.Add(searchOps)
 	obs.Metrics.Compactions.Add(searchCompactions)
@@ -136,14 +146,6 @@ func BranchAndBoundCtx(ctx stdctx.Context, tt *truthtable.Table, opts *SolveOpti
 			return finishResult(tt, truthtable.Ordering(append([]int(nil), bestOrder...)), best, rule), err
 		}
 		return nil, err
-	}
-	if !found {
-		// The seeded bound was at or below the true optimum, so no
-		// complete ordering was ever recorded; rerun unseeded. Only a
-		// positive InitialBound gets here, so opts is non-nil.
-		rerun := *opts
-		rerun.InitialBound = 0
-		return BranchAndBoundCtx(ctx, tt, &rerun)
 	}
 	finishMetrics(m)
 	return finishResult(tt, truthtable.Ordering(bestOrder), best, rule), nil

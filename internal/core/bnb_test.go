@@ -1,7 +1,9 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"obddopt/internal/obs"
@@ -87,6 +89,54 @@ func TestBranchAndBoundSeededBound(t *testing.T) {
 		if c := rec.Count(obs.KindBnBPruneBound); c != 0 {
 			t.Errorf("n=%d: %d lower-bound prunes with the lower bound disabled", n, c)
 		}
+	}
+}
+
+// TestBranchAndBoundRerunKeepsBudget checks that the unseeded rerun of
+// a search seeded at its optimum spends from the first pass's node
+// budget and meter. Each expansion compacts one table, so a Meter's
+// Compactions count expansions; the rerun repeats the unseeded search
+// exactly, so the first pass expanded the difference.
+func TestBranchAndBoundRerunKeepsBudget(t *testing.T) {
+	rng := rand.New(rand.NewSource(4242))
+	firstPasses := 0
+	for n := 4; n <= 8; n++ {
+		f := truthtable.Random(n, rng)
+		unseeded, both := &Meter{}, &Meter{}
+		want := BranchAndBound(f, &SolveOptions{Meter: unseeded})
+		BranchAndBound(f, &SolveOptions{InitialBound: want.MinCost, Meter: both})
+		first := both.Compactions - unseeded.Compactions
+		if first > 0 {
+			firstPasses++
+			m := &Meter{}
+			res, err := BranchAndBoundCtx(nil, f, &SolveOptions{
+				InitialBound: want.MinCost, Meter: m, Budget: Budget{MaxNodes: unseeded.Compactions},
+			})
+			if !errors.Is(err, ErrBudgetExceeded) {
+				t.Errorf("n=%d: first pass %d + rerun %d expansions under MaxNodes %d: err = %v, want ErrBudgetExceeded",
+					n, first, unseeded.Compactions, unseeded.Compactions, err)
+			}
+			if m.LiveCells != 0 {
+				t.Errorf("n=%d: LiveCells = %d after the budget stop, want 0", n, m.LiveCells)
+			}
+			// Only the rerun can hold an incumbent: nothing beats a
+			// bound at the optimum.
+			if res != nil && (res.MinCost < want.MinCost || SizeUnder(f, res.Ordering, OBDD, nil) != res.Size) {
+				t.Errorf("n=%d: early-stop incumbent %d (ordering %v) is not a realized ordering at or above the optimum %d",
+					n, res.MinCost, res.Ordering, want.MinCost)
+			}
+		}
+		res, err := BranchAndBoundCtx(nil, f, &SolveOptions{
+			InitialBound: want.MinCost, Budget: Budget{MaxNodes: both.Compactions},
+		})
+		if err != nil || res.MinCost != want.MinCost {
+			t.Errorf("n=%d: MaxNodes %d covers both passes: err = %v, want the optimum %d", n, both.Compactions, err, want.MinCost)
+		} else if !slices.Equal(res.Ordering, want.Ordering) {
+			t.Errorf("n=%d: ordering %v, unseeded %v", n, res.Ordering, want.Ordering)
+		}
+	}
+	if firstPasses == 0 {
+		t.Fatal("no seeded first pass expanded a node; the budget carry-over went untested")
 	}
 }
 

@@ -76,7 +76,7 @@ func TestParallelMeterConsistent(t *testing.T) {
 	mustResult(OptimalOrderingParallel(nil, f, &SolveOptions{Workers: 4, Meter: pm}))
 	// Cell operations and transitions are identical work regardless of
 	// scheduling: the pipeline charges every candidate — built or
-	// width-counted — the same table size the serial DP charges.
+	// priced by class — the same table size the serial DP charges.
 	if sm.CellOps != pm.CellOps {
 		t.Errorf("parallel CellOps %d != serial %d", pm.CellOps, sm.CellOps)
 	}
@@ -88,8 +88,8 @@ func TestParallelMeterConsistent(t *testing.T) {
 	}
 	// PeakCells is NOT compared against the serial meter: the pipeline's
 	// three-layer window can exceed the serial rolling pair, while its
-	// width-counting kernel never allocates the dropped candidates the
-	// serial DP briefly holds — so the peak may land on either side.
+	// class pricing never allocates the dropped candidates the serial DP
+	// briefly holds — so the peak may land on either side.
 	if pm.PeakCells == 0 {
 		t.Errorf("parallel PeakCells = 0, want > 0")
 	}

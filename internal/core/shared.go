@@ -90,7 +90,7 @@ func OptimalOrderingSharedCtx(ctx stdctx.Context, tts []*truthtable.Table, opts 
 // block, and one compactInto over the concatenation walks the roots in
 // order with one dedup, IDs continuing across them. Equal cells
 // therefore hold equal subfunctions across roots too, which is all
-// compaction and the engine's width-counting kernel rely on. Only the
+// compaction and the engine's class pricing rely on. Only the
 // table length departs from a single root's 2^|free| cells; runDP, the
 // engine, compact and profileAlong read lengths off the table.
 func baseContextShared(tts []*truthtable.Table) *fsContext {

@@ -34,31 +34,36 @@ import (
 //
 // Each destination subset S with |S| = k has k predecessors S\{p}. The
 // serial DP compacts all k candidate tables and keeps the cheapest;
-// here only ONE candidate (the smallest member, fixed independently of
-// which candidate wins) is compacted into a table, and the remaining
-// k−1 candidates are costed by a width-counting pass that never writes
-// a table. This is sound because the kept table is used downstream only
-// through value *equality* (the u0 == u1 / u1 == 0 skip tests and the
-// dedup key), and any candidate's table induces the same partition of
-// cells into equal-subfunction classes:
+// here only ONE candidate — the highest eligible member, fixed
+// independently of which candidate wins, whose free position makes the
+// compaction's runs longest — is compacted into a table, and every other
+// candidate is priced over that table's classes without writing one.
+// The kept table is used downstream only through value *equality* (the
+// u0 == u1 / u1 == 0 skip tests and the dedup key), and any candidate's
+// table induces the same partition of cells into classes of equal
+// subfunctions over S:
 //
 //   - table(S)[i] == table(S)[j]  iff  the subfunctions of f at dest
 //     cells i and j (cofactors over the absorbed set S) are equal — by
 //     induction over layers, since compactInto assigns IDs by (u0, u1)
-//     pair equality and copies skip cells verbatim.
-//   - the width of candidate p is the number of distinct (u0, u1) pairs
-//     among the cells that actually create a node (u0 != u1 for OBDD,
-//     u1 != 0 for ZDD, both read from the p-predecessor's table), and
-//     pair equality coincides with dest-subfunction equality — so the
-//     width equals the number of distinct *built-table labels* among
-//     those cells, countable with a generation-stamped direct-index
-//     array when every label fits in 16 bits.
+//     pair equality and copies skip cells verbatim, below the fresh IDs.
+//   - width is a property of the class (Lemma 3): cell i creates a node
+//     for candidate p iff its subfunction depends on x_p (OBDD, u0 != u1)
+//     or its x_p = 1 cofactor is not 0 (ZDD, u1 != 0), and two cells
+//     create the same node iff their subfunctions are equal. So p's width
+//     is the number of classes whose representative cell creates a node
+//     in p's predecessor table: one streaming count when the built width
+//     equals the table size (every cell its own class), otherwise one
+//     test per representative, collected in one pass over the labels.
+//
+// bases[] keeps the built table's ID ceiling, so every label a table
+// holds is below the first fresh ID of a compaction reading it.
 //
 // Costs and tie-breaking replicate fs.go exactly (minimum cost, ties to
 // the smallest member position, see Orbits below), so results are
 // bit-identical to the serial solver at every worker count and shard
 // size. Cell-operation metering is also identical: every candidate —
-// built or counted — is charged size cells, the unit of Theorem 5.
+// built or priced — is charged size cells, the unit of Theorem 5.
 //
 // Memory: the serial DP holds two layers (Remark 1); the pipeline holds
 // at most three — layer k−1 is released by the unique completer of
@@ -179,11 +184,13 @@ func (l *wsLayer) complete() bool { return l.remaining.Load() == 0 }
 type wsWorker struct {
 	ws    *workspace
 	meter *Meter
-	// seen/gen implement the width-counting distinct-label set: seen is
-	// indexed directly by built-table label (< 2^16 by the counting
-	// eligibility test) and a stamp is current iff it equals gen.
+	// seen/gen implement classReps' distinct-label set below the wide
+	// ceiling: seen is indexed directly by built-table label (< 2^16)
+	// and a stamp is current iff it equals gen. reps keeps that pass's
+	// representative buffer across destinations.
 	seen     []uint32
 	gen      uint32
+	reps     []uint32
 	predBuf  []uint64
 	executed uint64
 	steals   uint64
@@ -538,11 +545,10 @@ func (e *wsEngine) run(w int) {
 }
 
 // runShard compacts every canonical destination of one shard: for each,
-// one real compaction from the smallest candidate's predecessor plus a
-// width-counting pass per remaining candidate (or, above the 16-bit
-// label ceiling, a full compaction per candidate, serial-style). The
-// candidates are the highest member of each group the destination
-// meets — every member, on the full lattice.
+// one real compaction from the highest member's predecessor, then every
+// other candidate priced from the built table's classes (classReps,
+// classWidth). The candidates are the highest member of each group the
+// destination meets — every member, on the full lattice.
 func (e *wsEngine) runShard(w int, t wsTask) {
 	wk := e.workers[w]
 	l := e.layers[t.layer]
@@ -568,73 +574,59 @@ func (e *wsEngine) runShard(w int, t wsTask) {
 		}
 		e.rk.PredRanks(rel, preds)
 		var (
-			dst      []uint32
-			best     = ^uint64(0)
-			argmin   uint32
-			idCap    uint32
-			canCount bool
+			dst, reps, block []uint32
+			best             = ^uint64(0)
+			argmin, idCap    uint32
+			classed          bool
 		)
-		i := 0
-		for rest := uint64(rel); rest != 0; rest &= rest - 1 {
-			p := bits.TrailingZeros64(rest)
-			// p is the (i+1)-th member of rel, so i smaller members of
-			// rel remain absorbed in the predecessor and p sits at free
-			// position p−i of the predecessor's table.
-			pos := uint(p - i)
-			pr := preds[i]
-			i++
+		// Candidates run from the highest member down. The first is the
+		// one built: its free position (the free variables below it) is
+		// the largest, so its compaction walks the longest runs. The rest
+		// are priced over the built table's classes: reps stays nil when
+		// every cell is its own class (built width == size) and is
+		// collected before the first priced candidate otherwise — into
+		// block, an arena table charged against MaxCells, past 2^16 IDs.
+		for i, rest := j, uint64(rel); rest != 0; {
+			p := 63 - bits.LeadingZeros64(rest)
+			rest &^= 1 << uint(p)
+			i--
+			// i members of rel lie below p, absorbed in the predecessor,
+			// so p sits at free position p−i of the predecessor's table.
+			pos, pr := uint(p-i), preds[i]
 			if (rel&e.group[p])>>uint(p+1) != 0 {
 				continue // a higher member of p's group is the candidate
 			}
-			if !e.checkpoint() {
-				aborted = true
+			if aborted = !e.checkpoint(); aborted {
 				break
 			}
-			prevTable := prev.tables[pr]
-			var cand uint64
-			switch {
-			case dst == nil:
+			var width uint64
+			if dst == nil {
 				id0 := prev.bases[pr]
 				dst = wk.ws.ar.GetU32(size)
 				e.gaugeAlloc(size)
-				if !e.checkCells() {
-					aborted = true
+				if aborted = !e.checkCells(); aborted {
 					break
 				}
 				resetDedup(&wk.ws.dd, size, id0)
-				width := compactInto(dst, prevTable, pos, e.rule, id0, &wk.ws.dd)
-				cand = prev.costs[pr] + width
+				width = compactInto(dst, prev.tables[pr], pos, e.rule, id0, &wk.ws.dd)
 				idCap = id0 + uint32(width)
-				canCount = uint64(idCap) <= 1<<16
-			case canCount:
-				gen := wk.nextGen()
-				cand = prev.costs[pr] + countWidth(prevTable, pos, e.rule, dst, wk.seen, gen)
-			default:
-				// Wide mode (node IDs past 2^16): no direct-index label
-				// set, so cost this candidate with a full compaction and
-				// keep the cheaper table, exactly like the serial DP.
-				id0 := prev.bases[pr]
-				alt := wk.ws.ar.GetU32(size)
-				e.gaugeAlloc(size)
-				if !e.checkCells() {
-					wk.ws.ar.PutU32(alt)
-					e.gaugeFree(size)
-					aborted = true
-					break
+				classed = width == size
+			} else {
+				if !classed && idCap <= 1<<16 {
+					reps = wk.classReps(dst, false, wk.reps[:0])
+					wk.reps = reps
+				} else if !classed {
+					block = wk.ws.ar.GetU32(size)
+					e.gaugeAlloc(size)
+					if aborted = !e.checkCells(); aborted {
+						break
+					}
+					reps = wk.classReps(dst, true, block[:0])
 				}
-				resetDedup(&wk.ws.dd, size, id0)
-				width := compactInto(alt, prevTable, pos, e.rule, id0, &wk.ws.dd)
-				cand = prev.costs[pr] + width
-				if cand < best {
-					alt, dst = dst, alt
-					idCap = id0 + uint32(width)
-				}
-				wk.ws.ar.PutU32(alt)
-				e.gaugeFree(size)
+				classed = true
+				width = classWidth(prev.tables[pr], pos, e.rule, reps)
 			}
-			if aborted {
-				break
-			}
+			cand := prev.costs[pr] + width
 			wk.meter.addCells(size)
 			layerOps += size
 			switch {
@@ -643,6 +635,10 @@ func (e *wsEngine) runShard(w int, t wsTask) {
 			case cand == best:
 				argmin |= 1 << uint(p)
 			}
+		}
+		if block != nil {
+			wk.ws.ar.PutU32(block)
+			e.gaugeFree(size)
 		}
 		if aborted {
 			if dst != nil {
@@ -673,6 +669,66 @@ func (e *wsEngine) runShard(w int, t wsTask) {
 	if l.remaining.Add(-1) == 0 {
 		e.completeLayer(w, j)
 	}
+}
+
+// classReps appends to reps one representative cell per distinct label
+// of the built destination table dst, that is one per class of equal
+// subfunctions, and returns it. Labels below 2^16 are stamped in the
+// direct-index scratch; wide labels are collected through ws.dd, keyed by
+// label+1 so that label 0 is not the empty-slot key.
+func (wk *wsWorker) classReps(dst []uint32, wide bool, reps []uint32) []uint32 {
+	if wide {
+		wk.ws.dd.Reset(uint64(len(dst)))
+		for c, lb := range dst {
+			if _, fresh := wk.ws.dd.FindOrAssign(uint64(lb)+1, 0); fresh {
+				reps = append(reps, uint32(c))
+			}
+		}
+		return reps
+	}
+	gen := wk.nextGen()
+	for c, lb := range dst {
+		if wk.seen[lb] != gen {
+			wk.seen[lb] = gen
+			reps = append(reps, uint32(c))
+		}
+	}
+	return reps
+}
+
+// classWidth returns the width of one DP candidate without building its
+// table (see the soundness argument above): src is the candidate's
+// predecessor table, pos its variable's free position there, and reps the
+// destination's class representatives, nil when every cell is its own
+// class. Nil reps take one streaming count of node-creating pairs;
+// otherwise each representative's pair sits at its index with a 0 and a 1
+// spliced in at pos.
+func classWidth(src []uint32, pos uint, rule Rule, reps []uint32) (width uint64) {
+	half := uint64(1) << pos
+	// A pair creates a node iff u0&keep != u1: keep masks u0 away
+	// under ZDD, whose test reads the 1-child alone.
+	keep := ^uint32(0)
+	if rule == ZDD {
+		keep = 0
+	}
+	if reps == nil {
+		for base := uint64(0); base < uint64(len(src)); base += 2 * half {
+			u0s := src[base : base+half : base+half]
+			for j, u1 := range src[base+half : base+2*half : base+2*half] {
+				if u0s[j]&keep != u1 {
+					width++
+				}
+			}
+		}
+		return width
+	}
+	for _, c := range reps {
+		i := uint64(c)&(half-1) | uint64(c)>>pos<<(pos+1)
+		if src[i]&keep != src[i|half] {
+			width++
+		}
+	}
+	return width
 }
 
 // completeLayer runs once per layer, on the worker that finished its
@@ -711,89 +767,6 @@ func (e *wsEngine) completeLayer(w int, j int) {
 		ev.PeakCells = e.baseCells + uint64(e.peak.Load())
 		e.tr.Emit(ev)
 	}
-}
-
-// countWidth returns the width of one DP candidate without building its
-// table: the number of distinct labels among the cells of the (already
-// built) destination table whose predecessor child pair creates a node
-// under the rule. src is the candidate predecessor's table, pos the
-// absorbed variable's free position in it, labels the built destination
-// table, and seen/gen the caller's generation-stamped scratch (labels
-// are < len(seen) by the caller's eligibility test). Chunks whose eight
-// lanes all skip are skipped wholesale, mirroring compactInto's
-// word-parallel fast path.
-func countWidth(src []uint32, pos uint, rule Rule, labels []uint32, seen []uint32, gen uint32) (width uint64) {
-	half := uint64(1) << pos
-	stride := half * 2
-	di := uint64(0)
-	switch rule {
-	case OBDD:
-		for base := uint64(0); base < uint64(len(src)); base += stride {
-			u0s := src[base : base+half : base+half]
-			u1s := src[base+half : base+stride : base+stride]
-			j := uint64(0)
-			for ; j+8 <= half; j += 8 {
-				if (u0s[j]^u1s[j])|(u0s[j+1]^u1s[j+1])|
-					(u0s[j+2]^u1s[j+2])|(u0s[j+3]^u1s[j+3])|
-					(u0s[j+4]^u1s[j+4])|(u0s[j+5]^u1s[j+5])|
-					(u0s[j+6]^u1s[j+6])|(u0s[j+7]^u1s[j+7]) == 0 {
-					di += 8
-					continue
-				}
-				for l := j; l < j+8; l++ {
-					if u0s[l] != u1s[l] {
-						if lb := labels[di]; seen[lb] != gen {
-							seen[lb] = gen
-							width++
-						}
-					}
-					di++
-				}
-			}
-			for ; j < half; j++ {
-				if u0s[j] != u1s[j] {
-					if lb := labels[di]; seen[lb] != gen {
-						seen[lb] = gen
-						width++
-					}
-				}
-				di++
-			}
-		}
-	case ZDD:
-		for base := uint64(0); base < uint64(len(src)); base += stride {
-			u1s := src[base+half : base+stride : base+stride]
-			j := uint64(0)
-			for ; j+8 <= half; j += 8 {
-				if u1s[j]|u1s[j+1]|u1s[j+2]|u1s[j+3]|
-					u1s[j+4]|u1s[j+5]|u1s[j+6]|u1s[j+7] == 0 {
-					di += 8
-					continue
-				}
-				for l := j; l < j+8; l++ {
-					if u1s[l] != 0 {
-						if lb := labels[di]; seen[lb] != gen {
-							seen[lb] = gen
-							width++
-						}
-					}
-					di++
-				}
-			}
-			for ; j < half; j++ {
-				if u1s[j] != 0 {
-					if lb := labels[di]; seen[lb] != gen {
-						seen[lb] = gen
-						width++
-					}
-				}
-				di++
-			}
-		}
-	default:
-		panic("core: unknown rule") //lint:allow nopanic internal invariant: Rule enum is exhaustive; a new rule must extend this switch
-	}
-	return width
 }
 
 // releaseAll frees every engine-owned table still live (abort path, or
