@@ -4,20 +4,21 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 )
 
 // ArenaOwner enforces the block-ownership discipline behind the arena's
 // recycling contract (internal/core/arena): every []uint32 block a
-// function obtains with (*Arena).GetU32 must, on every path to every
-// return, be either
+// function obtains with (*Arena).GetU32, or a layer slab it obtains with
+// (*Arena).GetSlab, must, on every path to every return, be either
 //
-//   - put back with (*Arena).PutU32 (directly or via a recycle helper
-//     that the block variable is passed to), or
+//   - put back with (*Arena).PutU32 or (*Arena).PutSlab (directly or via
+//     a recycle helper that the block variable is passed to), or
 //   - transferred to a sanctioned owner: stored into a table slot
 //     (an element of a local slice or of a whitelisted struct's slice
 //     field) or into a field of one of the engine's owning structs
-//     (fsContext, dpState, workspace, wsLayer, Arena),
+//     (fsContext, dpState, workspace, wsLayer, wsRing, Arena),
 //     or returned to the caller.
 //
 // A store into a field of any other struct is an escape out of the
@@ -35,24 +36,32 @@ import (
 // responsibility and are not tracked.
 var ArenaOwner = &Analyzer{
 	Name: "arenaowner",
-	Doc: "report arena blocks ((*Arena).GetU32) that a path can leak — neither PutU32 back nor " +
-		"transferred into sanctioned table storage or the return value — and blocks escaping " +
-		"into fields outside the dpState/workspace ownership whitelist",
+	Doc: "report arena blocks and slabs ((*Arena).GetU32/GetSlab) that a path can leak — neither " +
+		"PutU32/PutSlab back nor transferred into sanctioned table storage or the return value — " +
+		"and blocks escaping into fields outside the dpState/workspace/wsRing ownership whitelist",
 	Run: runArenaOwner,
 }
 
 // arenaOwnerWhitelist names the struct types sanctioned to own arena
 // blocks: the DP's context/state carriers — including the work-stealing
-// scheduler's per-layer result arrays (wsLayer), whose tables are
-// released by the unique layer completer or the engine's releaseAll —
-// and the arena itself.
+// scheduler's per-layer result arrays (wsLayer) and its ring of layer
+// slabs (wsRing), which the engine's releaseAll hands back to the
+// ring's arena — and the arena itself.
 var arenaOwnerWhitelist = map[string]bool{
 	"fsContext": true,
 	"dpState":   true,
 	"workspace": true,
 	"wsLayer":   true,
+	"wsRing":    true,
 	"Arena":     true,
 }
+
+// arenaGets and arenaPuts name the Arena methods that acquire a block
+// and put one back.
+var (
+	arenaGets = []string{"GetU32", "GetSlab"}
+	arenaPuts = []string{"PutU32", "PutSlab"}
+)
 
 func runArenaOwner(pass *Pass) error {
 	for _, file := range pass.Files {
@@ -62,7 +71,7 @@ func runArenaOwner(pass *Pass) error {
 				continue
 			}
 			// The arena's own methods implement the primitives being
-			// checked; GetU32's free-list pops are not acquisitions.
+			// checked; their free-list pops are not acquisitions.
 			if recvNamed(pass, fd) == "Arena" {
 				continue
 			}
@@ -85,11 +94,11 @@ func recvNamed(pass *Pass, fd *ast.FuncDecl) string {
 	return ""
 }
 
-// arenaMethodCall reports whether call is a.<name>(...) on a receiver
-// whose (possibly pointer) type is named Arena.
-func arenaMethodCall(pass *Pass, call *ast.CallExpr, name string) bool {
+// arenaMethodCall reports whether call is a.<name>(...), for one of
+// names, on a receiver whose (possibly pointer) type is named Arena.
+func arenaMethodCall(pass *Pass, call *ast.CallExpr, names []string) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != name {
+	if !ok || !slices.Contains(names, sel.Sel.Name) {
 		return false
 	}
 	if tv, ok := pass.TypesInfo.Types[sel.X]; ok {
@@ -99,9 +108,9 @@ func arenaMethodCall(pass *Pass, call *ast.CallExpr, name string) bool {
 }
 
 // arenaKey identifies one tracked block: the variable bound to the
-// GetU32 result and the acquisition site. Rebinding the variable at a
-// new acquisition kills the old key (a strong update — the variable can
-// only hold one block at a time).
+// GetU32/GetSlab result and the acquisition site. Rebinding the variable
+// at a new acquisition kills the old key (a strong update — the variable
+// can only hold one block at a time).
 type arenaKey struct {
 	obj  types.Object
 	site token.Pos
@@ -163,15 +172,16 @@ func (af *arenaFlow) Apply(f arenaFact, n ast.Node) arenaFact {
 }
 
 // applyAssign handles the statement forms that move block ownership:
-// binding a GetU32 result to a variable, storing a tracked variable into
-// a slice element or struct field, and rebinding.
+// binding a GetU32/GetSlab result to a variable, storing a tracked
+// variable into a slice element or struct field, and rebinding.
 func (af *arenaFlow) applyAssign(f arenaFact, as *ast.AssignStmt) {
-	// Process RHS side effects first (a GetU32 in the RHS of a store).
+	// Process RHS side effects first (a GetU32/GetSlab in the RHS of a
+	// store).
 	for _, rhs := range as.Rhs {
 		inspectNoLits(rhs, func(x ast.Node) bool {
 			switch x := x.(type) {
 			case *ast.CallExpr:
-				if !arenaMethodCall(af.pass, x, "GetU32") {
+				if !arenaMethodCall(af.pass, x, arenaGets) {
 					af.applyCall(f, x)
 				}
 			case *ast.CompositeLit:
@@ -185,7 +195,7 @@ func (af *arenaFlow) applyAssign(f arenaFact, as *ast.AssignStmt) {
 	}
 	for i, rhs := range as.Rhs {
 		lhs := as.Lhs[i]
-		if call, ok := rhs.(*ast.CallExpr); ok && arenaMethodCall(af.pass, call, "GetU32") {
+		if call, ok := rhs.(*ast.CallExpr); ok && arenaMethodCall(af.pass, call, arenaGets) {
 			if id, ok := lhs.(*ast.Ident); ok && id.Name != "_" {
 				if obj := af.identObj(id); obj != nil {
 					// Strong update: the variable now holds the new block.
@@ -249,17 +259,17 @@ func (af *arenaFlow) checkStoreTarget(f arenaFact, lhs ast.Expr, pos token.Pos) 
 			at = lhs.Pos()
 		}
 		af.escapes[at] = "arena block stored into field " + exprText(lhs) + " of " + name +
-			": outside the fsContext/dpState/workspace/wsLayer ownership whitelist, " +
+			": outside the fsContext/dpState/workspace/wsLayer/wsRing ownership whitelist, " +
 			"the block can never be recycled (annotate with //lint:allow arenaowner <why> if sanctioned)"
 	}
 }
 
-// applyCall handles PutU32 (release) and tracked variables passed to
-// other calls: passing a block to a callee transfers responsibility
+// applyCall handles PutU32/PutSlab (release) and tracked variables passed
+// to other calls: passing a block to a callee transfers responsibility
 // (recycle helpers, kernels that retain it) only when the callee is a
 // Put; otherwise the block is merely borrowed and stays held.
 func (af *arenaFlow) applyCall(f arenaFact, call *ast.CallExpr) {
-	if arenaMethodCall(af.pass, call, "PutU32") && len(call.Args) == 1 {
+	if arenaMethodCall(af.pass, call, arenaPuts) && len(call.Args) == 1 {
 		if id, ok := call.Args[0].(*ast.Ident); ok {
 			af.markObjState(f, id, stateReleased)
 		}
@@ -291,7 +301,7 @@ func (af *arenaFlow) applyCompositeLit(f arenaFact, lit *ast.CompositeLit) {
 	if name != "" && !arenaOwnerWhitelist[name] {
 		if _, isStruct := structUnder(af.pass, lit); isStruct {
 			af.escapes[lit.Pos()] = "arena block stored into a " + name + " literal: outside the " +
-				"fsContext/dpState/workspace/wsLayer ownership whitelist, the block can never be " +
+				"fsContext/dpState/workspace/wsLayer/wsRing ownership whitelist, the block can never be " +
 				"recycled (annotate with //lint:allow arenaowner <why> if sanctioned)"
 		}
 	}
@@ -376,8 +386,8 @@ func checkArenaGraph(pass *Pass, g funcGraph) {
 		reported[ret.Pos()] = true
 		pass.Reportf(ret.Pos(),
 			"return path in %s leaks the arena block %q obtained at line %d: every path — including "+
-				"ErrCanceled/ErrBudgetExceeded exits — must PutU32 the block back or transfer it into "+
-				"table storage or the return value",
+				"ErrCanceled/ErrBudgetExceeded exits — must PutU32/PutSlab the block back or transfer it "+
+				"into table storage or the return value",
 			g.name, k.obj.Name(), pass.Fset.Position(k.site).Line)
 	})
 	var escPos []token.Pos
@@ -390,11 +400,11 @@ func checkArenaGraph(pass *Pass, g funcGraph) {
 	}
 }
 
-// applyDeferredArenaPuts replays PutU32 calls a defer performs (directly
-// or inside a deferred closure) into the exit fact.
+// applyDeferredArenaPuts replays PutU32/PutSlab calls a defer performs
+// (directly or inside a deferred closure) into the exit fact.
 func applyDeferredArenaPuts(pass *Pass, af *arenaFlow, f arenaFact, d *ast.DeferStmt) {
 	ast.Inspect(d, func(x ast.Node) bool {
-		if call, ok := x.(*ast.CallExpr); ok && arenaMethodCall(pass, call, "PutU32") && len(call.Args) == 1 {
+		if call, ok := x.(*ast.CallExpr); ok && arenaMethodCall(pass, call, arenaPuts) && len(call.Args) == 1 {
 			if id, ok := call.Args[0].(*ast.Ident); ok {
 				af.markObjState(f, id, stateReleased)
 			}

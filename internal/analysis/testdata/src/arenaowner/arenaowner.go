@@ -18,6 +18,10 @@ func (a *Arena) GetU32(size uint64) []uint32 {
 
 func (a *Arena) PutU32(b []uint32) { a.free = append(a.free, b) }
 
+func (a *Arena) GetSlab(fit, min, limit uint64) []uint32 { return a.GetU32(min) }
+
+func (a *Arena) PutSlab(b []uint32) { a.PutU32(b) }
+
 // fsContext and dpState mirror the whitelisted owners.
 type fsContext struct {
 	table []uint32
@@ -28,10 +32,21 @@ type dpState struct {
 	tables [][]uint32
 }
 
+// wsRing mirrors the engine's ring of layer slabs, a whitelisted owner.
+type wsRing struct {
+	ar    *Arena
+	slabs [3][]uint32
+}
+
 // rogueCache is NOT a sanctioned owner: blocks stored here can never be
 // recycled.
 type rogueCache struct {
 	stash []uint32
+}
+
+// rogueRing keeps slabs outside the ownership model.
+type rogueRing struct {
+	slabs [3][]uint32
 }
 
 var errBoom = errors.New("boom")
@@ -119,4 +134,45 @@ func rebind(ar *Arena, rounds int) {
 	if rounds > 0 {
 		ar.PutU32(blk)
 	}
+}
+
+// swapSlab is the ring's take: the outgoing slab goes back with PutSlab
+// and the incoming one is stored into the ring's slot. Must stay silent.
+func swapSlab(r *wsRing, k int, cells uint64) []uint32 {
+	if old := r.slabs[k%3]; old != nil {
+		r.ar.PutSlab(old)
+	}
+	slab := r.ar.GetSlab(cells, cells, 16*cells)
+	r.slabs[k%3] = slab
+	return slab
+}
+
+// slabLeakOnAbort takes a slab and returns early on a stop without
+// putting it back or storing it.
+func slabLeakOnAbort(r *wsRing, cells uint64, stopped bool) error {
+	slab := r.ar.GetSlab(cells, cells, 16*cells)
+	if stopped {
+		return errBoom // want `return path in slabLeakOnAbort leaks the arena block "slab"`
+	}
+	r.slabs[0] = slab
+	return nil
+}
+
+// slabPutOnAbort is slabLeakOnAbort with the slab put back on the stop.
+// Must stay silent.
+func slabPutOnAbort(r *wsRing, cells uint64, stopped bool) error {
+	slab := r.ar.GetSlab(cells, cells, 16*cells)
+	if stopped {
+		r.ar.PutSlab(slab)
+		return errBoom
+	}
+	r.slabs[0] = slab
+	return nil
+}
+
+// slabIntoRogueRing stores a slab into a slot of a struct outside the
+// whitelist: reported at the store.
+func slabIntoRogueRing(ar *Arena, rr *rogueRing, cells uint64) {
+	slab := ar.GetSlab(cells, cells, 16*cells)
+	rr.slabs[1] = slab // want `arena block stored into field rr\.slabs\[1\] of rogueRing`
 }

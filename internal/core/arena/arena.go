@@ -13,7 +13,8 @@
 // A block that is never Put back is simply collected by the GC with
 // whatever still references it — safety does not depend on the free
 // discipline, only recycling efficiency does. Arenas are NOT safe for
-// concurrent use; acquire one per goroutine (see Acquire/Release).
+// concurrent use; acquire one per goroutine (see Acquire/Release), or
+// serialize every call on one behind a lock.
 package arena
 
 import (
@@ -90,6 +91,57 @@ func (a *Arena) PutU32(b []uint32) {
 	}
 }
 
+// GetSlab returns a whole block (len == cap) to carve a layer's tables
+// from: the smallest free block of at least fit cells, else the smallest
+// of at least min, never one above limit; failing both, a fresh block of
+// exactly min cells. The contents are unspecified, as for GetU32.
+func (a *Arena) GetSlab(fit, min, limit uint64) []uint32 {
+	a.gets++
+	l := a.smallest(fit, limit)
+	if l == nil {
+		l = a.smallest(min, limit)
+	}
+	if l == nil {
+		return make([]uint32, min)
+	}
+	b := l.blocks[len(l.blocks)-1]
+	l.blocks = l.blocks[:len(l.blocks)-1]
+	a.reuses++
+	return b
+}
+
+// PutSlab returns a slab to the free lists, filed under its capacity.
+func (a *Arena) PutSlab(b []uint32) { a.PutU32(b) }
+
+// smallest returns the nonempty free list of the smallest size in
+// [lo, hi], or nil. Size classes ascend, so the first class holding one
+// holds the smallest.
+func (a *Arena) smallest(lo, hi uint64) *freeList {
+	for c := class(lo); c < maxClass; c++ {
+		var best *freeList
+		for i := range a.free[c] {
+			l := &a.free[c][i]
+			if len(l.blocks) > 0 && l.size >= lo && l.size <= hi && (best == nil || l.size < best.size) {
+				best = l
+			}
+		}
+		if best != nil {
+			return best
+		}
+	}
+	return nil
+}
+
+// Retain drops every free block and files exactly the given slabs (nil
+// ones skipped), so an arena goes back to the pool with the slabs its
+// last run held and nothing that run swapped out.
+func (a *Arena) Retain(slabs ...[]uint32) {
+	a.Reset()
+	for _, b := range slabs {
+		a.PutSlab(b)
+	}
+}
+
 // Reset drops every free list, letting the GC reclaim the blocks.
 func (a *Arena) Reset() {
 	for i := range a.free {
@@ -147,7 +199,7 @@ func class(size uint64) int {
 // contract either way.
 var pool = sync.Pool{New: func() any { return new(Arena) }}
 
-// Acquire returns an arena for one run (goroutine-local use only).
+// Acquire returns an arena for one run (one goroutine at a time).
 func Acquire() *Arena { return pool.Get().(*Arena) }
 
 // Release returns an arena to the process-wide pool. The caller must

@@ -222,3 +222,92 @@ func TestTrimClearsDroppedSlots(t *testing.T) {
 		t.Errorf("FreeCells after a Put = %d, want %d", got, 4*32)
 	}
 }
+
+// TestGetSlabChoiceOrder pins the order in which GetSlab picks a slab:
+// the smallest free one holding fit cells, else the smallest holding min,
+// never one above limit, else a fresh block of exactly min cells.
+func TestGetSlabChoiceOrder(t *testing.T) {
+	var a Arena
+	free := make(map[uint64][]uint32)
+	for _, size := range []uint64{100, 300, 500, 2000, 5000} {
+		free[size] = make([]uint32, size)
+		a.PutSlab(free[size])
+	}
+	for _, c := range []struct {
+		fit, min, limit uint64
+		want            uint64 // the size of the free slab expected
+		fresh           uint64 // or of the fresh block expected
+	}{
+		{fit: 400, min: 200, limit: 4000, want: 500},     // fits the largest layer
+		{fit: 4500, min: 200, limit: 4000, want: 300},    // 5000 is above the limit: the opening layer's fit
+		{fit: 6000, min: 3000, limit: 64000, want: 5000}, // nothing holds fit
+		{fit: 6000, min: 2500, limit: 4000, fresh: 2500}, // 2000 is too small, nothing else is left below the limit
+		{fit: 50, min: 50, limit: 800, want: 100},
+		{fit: 50, min: 50, limit: 800, fresh: 50}, // only 2000 is left, above the limit
+	} {
+		_, before := a.Stats()
+		b := a.GetSlab(c.fit, c.min, c.limit)
+		_, after := a.Stats()
+		if len(b) != cap(b) {
+			t.Fatalf("GetSlab(%d, %d, %d): len %d cap %d, want a whole block", c.fit, c.min, c.limit, len(b), cap(b))
+		}
+		if c.fresh != 0 {
+			if after != before || len(b) != int(c.fresh) {
+				t.Fatalf("GetSlab(%d, %d, %d) = %d cells (reused %v), want a fresh %d", c.fit, c.min, c.limit, len(b), after != before, c.fresh)
+			}
+			continue
+		}
+		if after != before+1 || len(b) != int(c.want) || &b[0] != &free[c.want][0] {
+			t.Fatalf("GetSlab(%d, %d, %d) = %d cells (reused %v), want the free %d", c.fit, c.min, c.limit, len(b), after != before, c.want)
+		}
+	}
+	if got := a.FreeCells(); got != 2000 {
+		t.Fatalf("FreeCells = %d, want the 2000-cell slab alone", got)
+	}
+}
+
+// TestSlabsComeBackWhole checks that a slab put back through a shorter
+// slice is filed under its capacity and handed out whole.
+func TestSlabsComeBackWhole(t *testing.T) {
+	var a Arena
+	b := a.GetSlab(640, 640, 640)
+	a.PutSlab(b[:17])
+	if got := a.FreeCells(); got != 640 {
+		t.Fatalf("FreeCells = %d, want 640", got)
+	}
+	c := a.GetSlab(600, 100, 1000)
+	if &c[0] != &b[0] || len(c) != 640 || cap(c) != 640 {
+		t.Fatalf("GetSlab returned len %d cap %d, want the whole 640-cell slab back", len(c), cap(c))
+	}
+}
+
+// TestRetainKeepsHeldSlabs pins that Retain keeps exactly the slabs a run
+// held, not a total of cells. The sizes are a 1/128 scale of a random
+// n=14 run's ring, whose slots swap out slabs of the same size class as
+// the ones they end up holding: a trim to the held total walks a size
+// class's lists in insertion order and would keep a swapped-out slab in
+// place of a held one.
+func TestRetainKeepsHeldSlabs(t *testing.T) {
+	var a Arena
+	for _, size := range []uint64{896, 2912, 5824} { // swapped out during the run
+		a.PutSlab(make([]uint32, size))
+	}
+	held := [][]uint32{make([]uint32, 6006), make([]uint32, 8008), make([]uint32, 8008), nil}
+	a.Retain(held...)
+	if got := a.FreeCells(); got != 6006+2*8008 {
+		t.Fatalf("FreeCells = %d, want the %d held cells", got, 6006+2*8008)
+	}
+	back := map[*uint32]bool{}
+	for _, size := range []uint64{6006, 8008, 8008} {
+		b := a.GetU32(size)
+		back[&b[0]] = true
+	}
+	for _, h := range held[:3] {
+		if !back[&h[0]] {
+			t.Fatalf("a held %d-cell slab did not come back", len(h))
+		}
+	}
+	if got := a.FreeCells(); got != 0 {
+		t.Fatalf("%d cells left besides the held slabs", got)
+	}
+}

@@ -110,13 +110,12 @@ func acquireWorkspace() *workspace { return wsPool.Get().(*workspace) }
 // were not Put back are simply never recycled (see arena.Arena).
 func (ws *workspace) release() { wsPool.Put(ws) }
 
-// releaseCapped returns the workspaces of one multi-worker run to the
-// pool, keeping at most peak cells on their arenas' free lists in total.
-// Blocks migrate between the workers' arenas during such a run (a retired
-// layer lands on whichever arena retires it), so the other workers keep
-// allocating fresh blocks; uncapped, the pooled free lists would grow
-// with every run until a GC empties the pool. The run's metered peak is
-// all that a repeat of the run can use.
+// releaseCapped returns the workspaces of one engine run to the pool,
+// keeping at most peak cells on their arenas' free lists in total. The
+// engine carves its tables from its ring of slabs (wsRing), so its
+// workers draw only representative scratch from these arenas; what else
+// they hold was left by earlier runs, of the serial solvers too, and the
+// run's metered peak is all that a repeat of the run can use.
 func releaseCapped(wss []*workspace, peak uint64) {
 	for _, ws := range wss {
 		peak -= ws.ar.Trim(peak)

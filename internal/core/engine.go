@@ -40,7 +40,11 @@ type Budget struct {
 	// MaxCells caps the live table cells (the Meter.LiveCells gauge —
 	// Remark 1's space measure). 0 means unlimited. Enforcing it
 	// requires metering; solvers allocate a private Meter when the
-	// caller did not supply one.
+	// caller did not supply one. The parallel engine carves its tables
+	// from layer slabs taken whole when a layer opens, so beyond the
+	// budget it may hold the uncarved rest of at most two open layers and
+	// the slabs of retired ones, never a layer it did not reach (see
+	// OptimalOrderingParallel).
 	MaxCells uint64
 	// MaxNodes caps the number of DP transitions / branch-and-bound
 	// node expansions / brute-force prefix extensions. 0 means

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"obddopt/internal/bitops"
+	"obddopt/internal/core/arena"
 	"obddopt/internal/core/lattice"
 	"obddopt/internal/obs"
 	"obddopt/internal/truthtable"
@@ -68,7 +69,9 @@ import (
 // Memory: the serial DP holds two layers (Remark 1); the pipeline holds
 // at most three — layer k−1 is released by the unique completer of
 // layer k, and spawning is gated so layer k+1 may only start once layer
-// k−1 is complete. See DESIGN.md for the liveness argument.
+// k−1 is complete. The tables of layer k are carved from slot k mod 3 of
+// a per-run ring of slabs (wsRing), so retiring a layer only returns its
+// cells to the gauge. See DESIGN.md for the liveness argument.
 //
 // Orbits: a run walks the orbit lattice of a symmetry partition of the
 // variables (the full lattice is the all-singleton partition). When
@@ -150,16 +153,24 @@ type wsLayer struct {
 	watermark []uint64
 
 	// Per-rank results, written by exactly one shard each and only for
-	// canonical ranks. tables[r] is freed (set nil) by the completer of
-	// layer k+1. bases[r] is the first fresh node ID for compactions
-	// reading tables[r] — the built table's ID ceiling, which exceeds
+	// canonical ranks. tables[r] is the index of r's table in slab (see
+	// table), readable until the completer of layer k+1 retires the
+	// layer. bases[r] is the first fresh node ID for compactions reading
+	// that table — the built table's ID ceiling, which exceeds
 	// nTerm+costs[r] whenever the built candidate lost the cost
 	// comparison. argmin[r] is the mask of the candidates reaching
 	// costs[r] (truthtable.MaxVars = 30 bits fit).
-	tables [][]uint32
+	tables []uint32
 	costs  []uint64
 	bases  []uint32
 	argmin []uint32
+
+	// slab holds the layer's tables, cells cells each, in carving order:
+	// open takes it from the ring on the first carve, and carved counts
+	// the tables handed out.
+	open   sync.Once
+	slab   []uint32
+	carved atomic.Uint64
 
 	spawned   atomic.Int64 // shards claimed so far (next to claim)
 	frontier  atomic.Int64 // contiguous completed shard prefix
@@ -180,14 +191,94 @@ func (l *wsLayer) covered() uint64 {
 
 func (l *wsLayer) complete() bool { return l.remaining.Load() == 0 }
 
+// table returns rank r's table.
+func (l *wsLayer) table(r uint64) []uint32 {
+	o := uint64(l.tables[r]) * l.cells
+	return l.slab[o : o+l.cells : o+l.cells]
+}
+
+// wsSlabLimit caps a slab taken from the free lists at this many times
+// its slot's largest layer, so a small run does not pin a large run's
+// slab.
+const wsSlabLimit = 16
+
+// wsRing is a run's table storage: popcount layer k carves its tables
+// from the slab in slot k mod 3. A layer takes its slot on its first
+// carve, and the slot's previous layer, k−3, is dead by then: claim opens
+// layer k only once layer k−2 is complete, and layer k−2's shards were
+// the last readers of layer k−3. A slot keeps its slab while the next
+// layer fits and otherwise swaps it for, in order, the smallest free slab
+// that holds the slot's largest layer, the smallest that holds the
+// opening layer, or a fresh block of just the opening layer, never one
+// above wsSlabLimit times the slot's largest layer. The arena is pooled:
+// acquired on the first take, shared by the workers behind mu, and
+// released holding exactly the run's slabs.
+type wsRing struct {
+	mu    sync.Mutex
+	ar    *arena.Arena
+	slabs [3][]uint32
+	most  [3]uint64 // the slot's largest layer, in cells
+}
+
+// take returns the slab of slot k mod 3 for opening layer k, whose tables
+// need cells in all.
+func (r *wsRing) take(k int, cells uint64) []uint32 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	s := k % 3
+	if uint64(len(r.slabs[s])) >= cells {
+		return r.slabs[s]
+	}
+	if r.ar == nil {
+		r.ar = arena.Acquire()
+	}
+	if old := r.slabs[s]; old != nil {
+		r.ar.PutSlab(old)
+		if ringHook != nil {
+			ringHook(r.ar, 0, old, false)
+		}
+	}
+	_, reuses := r.ar.Stats()
+	slab := r.ar.GetSlab(r.most[s], cells, wsSlabLimit*r.most[s])
+	r.slabs[s] = slab
+	if ringHook != nil {
+		_, now := r.ar.Stats()
+		ringHook(r.ar, k, slab, now == reuses)
+	}
+	return slab
+}
+
+// release keeps exactly the held slabs on the ring's arena and returns
+// it to the pool. Every worker must have joined.
+func (r *wsRing) release() {
+	if r.ar == nil {
+		return
+	}
+	r.ar.Retain(r.slabs[:]...)
+	if ringHook != nil {
+		ringHook(r.ar, -1, nil, false)
+	}
+	arena.Release(r.ar)
+	r.ar, r.slabs = nil, [3][]uint32{}
+}
+
+// ringHook, when set, sees each slab a ring takes for opening layer k
+// (fresh when no free slab qualified), each one it gives back to its
+// arena (k = 0), and the arena at release, once it holds exactly the
+// run's slabs (k = -1). A ring's calls never overlap: takes hold its
+// lock, and release runs after every worker joined. Tests use it to
+// audit the slab lifecycle; it is nil otherwise.
+var ringHook func(ar *arena.Arena, k int, slab []uint32, fresh bool)
+
 // wsWorker is the goroutine-local state of one pipeline worker.
 type wsWorker struct {
 	ws    *workspace
 	meter *Meter
 	// seen/gen implement classReps' distinct-label set below the wide
-	// ceiling: seen is indexed directly by built-table label (< 2^16)
-	// and a stamp is current iff it equals gen. reps keeps that pass's
-	// representative buffer across destinations.
+	// ceiling: seen is indexed directly by built-table label (< 2^16),
+	// grown on demand to the next power of two above the largest label
+	// seen, and a stamp is current iff it equals gen. reps keeps that
+	// pass's representative buffer across destinations.
 	seen     []uint32
 	gen      uint32
 	reps     []uint32
@@ -197,9 +288,6 @@ type wsWorker struct {
 }
 
 func (wk *wsWorker) nextGen() uint32 {
-	if wk.seen == nil {
-		wk.seen = make([]uint32, 1<<16)
-	}
 	wk.gen++
 	if wk.gen == 0 {
 		clear(wk.seen)
@@ -217,6 +305,7 @@ type wsEngine struct {
 	baseCells uint64
 	rk        *lattice.Ranker
 	layers    []*wsLayer
+	ring      wsRing
 	workers   []*wsWorker
 	deques    []wsDeque
 	pinned    bool
@@ -388,7 +477,8 @@ func newWSEngine(ctx stdctx.Context, base *fsContext, groups []bitops.Mask, work
 		cells:     e.baseCells,
 		shardSize: 1,
 		nShards:   1,
-		tables:    [][]uint32{base.table},
+		slab:      base.table,
+		tables:    []uint32{0},
 		costs:     []uint64{base.cost},
 		bases:     []uint32{base.nextID()},
 	}
@@ -406,7 +496,7 @@ func newWSEngine(ctx stdctx.Context, base *fsContext, groups []bitops.Mask, work
 			shardSize: size,
 			nShards:   nShards,
 			watermark: make([]uint64, nShards),
-			tables:    make([][]uint32, count),
+			tables:    make([]uint32, count),
 			costs:     make([]uint64, count),
 			bases:     make([]uint32, count),
 			argmin:    make([]uint32, count),
@@ -419,6 +509,9 @@ func newWSEngine(ctx stdctx.Context, base *fsContext, groups []bitops.Mask, work
 				last = count - 1
 			}
 			l.watermark[s] = rk.MaxPredRank(rk.Unrank(k, last)) + 1
+		}
+		if c := states[k] * l.cells; c > e.ring.most[k%3] {
+			e.ring.most[k%3] = c
 		}
 		e.layers[k] = l
 	}
@@ -574,10 +667,10 @@ func (e *wsEngine) runShard(w int, t wsTask) {
 		}
 		e.rk.PredRanks(rel, preds)
 		var (
-			dst, reps, block []uint32
-			best             = ^uint64(0)
-			argmin, idCap    uint32
-			classed          bool
+			dst, reps, block     []uint32
+			best                 = ^uint64(0)
+			index, argmin, idCap uint32
+			classed              bool
 		)
 		// Candidates run from the highest member down. The first is the
 		// one built: its free position (the free variables below it) is
@@ -586,6 +679,7 @@ func (e *wsEngine) runShard(w int, t wsTask) {
 		// every cell is its own class (built width == size) and is
 		// collected before the first priced candidate otherwise — into
 		// block, an arena table charged against MaxCells, past 2^16 IDs.
+		// The built table is carved from the layer's slab.
 		for i, rest := j, uint64(rel); rest != 0; {
 			p := 63 - bits.LeadingZeros64(rest)
 			rest &^= 1 << uint(p)
@@ -602,13 +696,13 @@ func (e *wsEngine) runShard(w int, t wsTask) {
 			var width uint64
 			if dst == nil {
 				id0 := prev.bases[pr]
-				dst = wk.ws.ar.GetU32(size)
+				dst, index = e.carve(l)
 				e.gaugeAlloc(size)
 				if aborted = !e.checkCells(); aborted {
 					break
 				}
 				resetDedup(&wk.ws.dd, size, id0)
-				width = compactInto(dst, prev.tables[pr], pos, e.rule, id0, &wk.ws.dd)
+				width = compactInto(dst, prev.table(pr), pos, e.rule, id0, &wk.ws.dd)
 				idCap = id0 + uint32(width)
 				classed = width == size
 			} else {
@@ -624,7 +718,7 @@ func (e *wsEngine) runShard(w int, t wsTask) {
 					reps = wk.classReps(dst, true, block[:0])
 				}
 				classed = true
-				width = classWidth(prev.tables[pr], pos, e.rule, reps)
+				width = classWidth(prev.table(pr), pos, e.rule, reps)
 			}
 			cand := prev.costs[pr] + width
 			wk.meter.addCells(size)
@@ -642,12 +736,11 @@ func (e *wsEngine) runShard(w int, t wsTask) {
 		}
 		if aborted {
 			if dst != nil {
-				wk.ws.ar.PutU32(dst)
 				e.gaugeFree(size)
 			}
 			break
 		}
-		l.tables[r] = dst
+		l.tables[r] = index
 		l.costs[r] = best
 		l.bases[r] = idCap
 		l.argmin[r] = argmin
@@ -667,8 +760,17 @@ func (e *wsEngine) runShard(w int, t wsTask) {
 		l.frontier.CompareAndSwap(f, f+1)
 	}
 	if l.remaining.Add(-1) == 0 {
-		e.completeLayer(w, j)
+		e.completeLayer(j)
 	}
+}
+
+// carve hands out the next table of layer l with its index in the
+// layer's slab, which the layer's first carve takes from the ring.
+func (e *wsEngine) carve(l *wsLayer) ([]uint32, uint32) {
+	l.open.Do(func() { l.slab = e.ring.take(l.k, e.states[l.k]*l.cells) })
+	i := l.carved.Add(1) - 1
+	o := i * l.cells
+	return l.slab[o : o+l.cells : o+l.cells], uint32(i)
 }
 
 // classReps appends to reps one representative cell per distinct label
@@ -687,13 +789,26 @@ func (wk *wsWorker) classReps(dst []uint32, wide bool, reps []uint32) []uint32 {
 		return reps
 	}
 	gen := wk.nextGen()
+	seen := wk.seen
 	for c, lb := range dst {
-		if wk.seen[lb] != gen {
-			wk.seen[lb] = gen
+		if int(lb) >= len(seen) {
+			seen = wk.growSeen(lb)
+		}
+		if seen[lb] != gen {
+			seen[lb] = gen
 			reps = append(reps, uint32(c))
 		}
 	}
 	return reps
+}
+
+// growSeen extends the label scratch to the next power of two above
+// label, keeping the current pass's stamps.
+func (wk *wsWorker) growSeen(label uint32) []uint32 {
+	seen := make([]uint32, 1<<bits.Len32(label))
+	copy(seen, wk.seen)
+	wk.seen = seen
+	return seen
 }
 
 // classWidth returns the width of one DP candidate without building its
@@ -734,22 +849,13 @@ func classWidth(src []uint32, pos uint, rule Rule, reps []uint32) (width uint64)
 // completeLayer runs once per layer, on the worker that finished its
 // last shard: it retires the now-unreadable previous layer (opening the
 // liveness window for layer j+2) and emits the layer-granular
-// observability the serial DP emits from its loop.
-func (e *wsEngine) completeLayer(w int, j int) {
+// observability the serial DP emits from its loop. Retiring returns the
+// layer's cells to the gauge; its slab stays in the ring for layer j+2.
+func (e *wsEngine) completeLayer(j int) {
 	l := e.layers[j]
 	if j > 1 {
 		prev := e.layers[j-1]
-		var freed uint64
-		for r, tbl := range prev.tables {
-			if tbl != nil {
-				// Blocks migrate to the completer's arena; arenas are
-				// origin-agnostic by contract (see internal/core/arena).
-				e.workers[w].ws.ar.PutU32(tbl)
-				prev.tables[r] = nil
-				freed++
-			}
-		}
-		e.gaugeFree(freed * prev.cells)
+		e.gaugeFree(prev.carved.Load() * prev.cells)
 	}
 	ops := l.ops.Load()
 	obs.Metrics.CellOps.Add(ops)
@@ -770,20 +876,11 @@ func (e *wsEngine) completeLayer(w int, j int) {
 }
 
 // releaseAll frees every engine-owned table still live (abort path, or
-// the normal path after the final table is consumed) and returns the
-// workers' workspaces to the pool, capped at the run's peak cells.
+// the normal path after the final table is consumed) with the ring's
+// slabs and returns the workers' workspaces to the pool, capped at the
+// run's peak cells. Every worker must have joined.
 func (e *wsEngine) releaseAll() {
-	ar := e.workers[0].ws.ar
-	for j := 1; j <= e.n; j++ {
-		l := e.layers[j]
-		for r, tbl := range l.tables {
-			if tbl != nil {
-				ar.PutU32(tbl)
-				l.tables[r] = nil
-				e.gaugeFree(l.cells)
-			}
-		}
-	}
+	e.ring.release()
 	wss := make([]*workspace, len(e.workers))
 	for w, wk := range e.workers {
 		wss[w], wk.ws = wk.ws, nil
@@ -902,6 +999,14 @@ func runEngine(ctx stdctx.Context, base *fsContext, groups []bitops.Mask, opts *
 // released — an attached Meter ends with the caller-visible LiveCells
 // it started with — and ErrCanceled / ErrBudgetExceeded is returned
 // with a nil Result (the DP holds no incumbent before it completes).
+//
+// Tables are carved from a per-run ring of three layer slabs, each taken
+// whole when its layer's first table is carved, while LiveCells (and
+// Budget.MaxCells) count carved tables. A run, stopped or not, holds
+// beyond that gauge only slabs of layers it opened: the uncarved rest of
+// at most two open layers, slabs of retired layers whose slots are not
+// yet reopened, and slabs swapped out of their slots; it allocates
+// nothing for a layer it never reached.
 //
 // opts.ShardBits overrides the shard granularity (2^b ranks per shard)
 // for scheduling experiments; opts.Pinned disables stealing so each

@@ -72,23 +72,37 @@ func TestWSEngineStealPath(t *testing.T) {
 	e.releaseAll()
 }
 
-// TestWSWorkerGenWraparound checks the class pass's label scratch stamp
-// discipline: the first use allocates the label set lazily, and a
-// generation wraparound clears it instead of aliasing stale stamps.
+// TestWSWorkerGenWraparound checks the class pass's label scratch: it is
+// allocated only when a label needs it, sized to the next power of two
+// above the largest label seen and grown on demand with the current
+// pass's stamps kept, and a generation wraparound clears it instead of
+// aliasing stale stamps.
 func TestWSWorkerGenWraparound(t *testing.T) {
 	wk := &wsWorker{}
 	if g := wk.nextGen(); g != 1 {
 		t.Fatalf("first nextGen = %d, want 1", g)
 	}
-	if len(wk.seen) != 1<<16 {
-		t.Fatalf("seen len = %d, want %d", len(wk.seen), 1<<16)
+	if wk.seen != nil {
+		t.Fatalf("nextGen allocated %d labels before any was seen", len(wk.seen))
 	}
-	wk.seen[7] = wk.gen
+	if reps := wk.classReps([]uint32{7, 3, 7, 100, 3}, false, nil); !slices.Equal(reps, []uint32{0, 1, 3}) {
+		t.Fatalf("reps = %v, want [0 1 3]", reps)
+	}
+	if len(wk.seen) != 128 {
+		t.Fatalf("seen len = %d after labels up to 100, want 128", len(wk.seen))
+	}
+	// Growing mid-pass keeps the stamps of labels seen before it.
+	if reps := wk.classReps([]uint32{5, 300, 5, 128, 300}, false, nil); !slices.Equal(reps, []uint32{0, 1, 3}) {
+		t.Fatalf("reps across a growth = %v, want [0 1 3]", reps)
+	}
+	if len(wk.seen) != 512 {
+		t.Fatalf("seen len = %d after label 300, want 512", len(wk.seen))
+	}
 	wk.gen = ^uint32(0)
 	if g := wk.nextGen(); g != 1 {
 		t.Fatalf("nextGen after wrap = %d, want 1", g)
 	}
-	if wk.seen[7] != 0 {
+	if wk.seen[5] != 0 || wk.seen[300] != 0 {
 		t.Fatal("wraparound did not clear stale stamps")
 	}
 }
