@@ -98,11 +98,11 @@ portfolio-demo:
 		-expr 'x1&(x2|(x3&(x4|(x5&(x6|(x7&(x8|(x9&(x10|(x11&(x12|(x13&(x14|(x15&(x16|(x17&!x18))))))))))))))))' \
 		-solver portfolio -deadline 50ms -progress
 
-# Scheduler demo: a deliberately contended parallel run — 8 workers over
-# 2-rank shards on a 13-variable instance — whose JSON report's metrics
-# block shows the work-stealing pipeline at work (shards_executed,
-# shard_steals; distributions under ws_shard_occupancy / ws_run_steals
-# in /v1/stats when serving).
+# Scheduler demo: a deliberately contended parallel run — 8 workers
+# claiming 2-rank shards on a 13-variable instance — whose JSON report's
+# metrics block shows the layer pipeline at work (shards_executed; the
+# distribution under ws_shard_occupancy in /v1/stats when serving).
+# shard_steals reads 0: workers run only the shards they claim.
 steal-demo:
 	$(GO) run ./cmd/optobdd \
 		-expr '(x1^x2^x3^x4^x5^x6) | x7&x8&x9 | x10&x11 | x12&x13' \

@@ -222,7 +222,7 @@ func BenchmarkDivideAndConquer9(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineFrontier times the work-stealing DP engine alone on the
+// BenchmarkEngineFrontier times the pipelined DP engine alone on the
 // workload suite's dp-frontier mix, at two workers. One op is one pass
 // over 18 single-root solves through core.OptimalOrderingParallel
 // (random, sparse and symmetric tables × OBDD/ZDD × n 12–14) and 6

@@ -92,7 +92,7 @@ func resolveTrajectoryConfig(seed int64, quick bool, timeCap time.Duration, maxN
 	}
 	if c.maxN <= 0 {
 		// High enough that the committed quick artifact records where
-		// solvers actually stop under the cap (the work-stealing parallel
+		// solvers actually stop under the cap (the pipelined parallel DP
 		// engine clears n=15 since the width-counting kernel), low enough
 		// to stay CI-sized — the exponential solvers bail out at their
 		// first over-cap point anyway.

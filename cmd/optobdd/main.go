@@ -262,8 +262,7 @@ func (c *config) run() error {
 }
 
 // runShared optimizes all outputs of a multi-output source jointly, on
-// the work-stealing DP engine under the -workers / -shard-bits / -pinned
-// schedule.
+// the pipelined DP engine under the -workers / -shard-bits schedule.
 func (c *config) runShared() error {
 	var tts []*truthtable.Table
 	switch {

@@ -43,7 +43,7 @@ var ArenaOwner = &Analyzer{
 }
 
 // arenaOwnerWhitelist names the struct types sanctioned to own arena
-// blocks: the DP's context/state carriers — including the work-stealing
+// blocks: the DP's context/state carriers — including the pipelined
 // scheduler's per-layer result arrays (wsLayer) and its ring of layer
 // slabs (wsRing), which the engine's releaseAll hands back to the
 // ring's arena — and the arena itself.

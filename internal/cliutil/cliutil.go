@@ -27,11 +27,10 @@ type SolverFlags struct {
 	Deadline time.Duration
 	MaxCells uint64
 	MaxNodes uint64
-	// The parallel schedule (see core.SolveOptions): worker count, shard
-	// granularity of the work-stealing DP, and whether stealing is off.
+	// The parallel schedule (see core.SolveOptions): worker count and
+	// shard granularity of the pipelined DP.
 	Workers   int
 	ShardBits int
-	Pinned    bool
 }
 
 // Register declares the shared flags on fs. defaultSolver is the value
@@ -49,16 +48,13 @@ func (f *SolverFlags) Register(fs *flag.FlagSet, defaultSolver string) {
 	fs.IntVar(&f.Workers, "workers", 0,
 		"parallel schedule: worker goroutines (0 = GOMAXPROCS)")
 	fs.IntVar(&f.ShardBits, "shard-bits", 0,
-		"parallel schedule: 2^bits lattice ranks per work-stealing shard (0 = auto)")
-	fs.BoolVar(&f.Pinned, "pinned", false,
-		"parallel schedule: disable work stealing (workers keep their own claims)")
+		"parallel schedule: 2^bits lattice ranks per shard (0 = auto)")
 }
 
-// Schedule copies the -workers / -shard-bits / -pinned flags into opts.
+// Schedule copies the -workers / -shard-bits flags into opts.
 func (f *SolverFlags) Schedule(opts *core.SolveOptions) {
 	opts.Workers = f.Workers
 	opts.ShardBits = f.ShardBits
-	opts.Pinned = f.Pinned
 }
 
 // Resolve looks the chosen solver up in the registry, returning the

@@ -134,7 +134,7 @@ func (a *Arena) smallest(lo, hi uint64) *freeList {
 
 // Retain drops every free block and files exactly the given slabs (nil
 // ones skipped), so an arena goes back to the pool with the slabs its
-// last run held and nothing that run swapped out.
+// last run held and nothing else.
 func (a *Arena) Retain(slabs ...[]uint32) {
 	a.Reset()
 	for _, b := range slabs {
@@ -147,27 +147,6 @@ func (a *Arena) Reset() {
 	for i := range a.free {
 		a.free[i] = nil
 	}
-}
-
-// Trim keeps at most limit cells on the free lists and drops the rest
-// for the GC, filling the limit from the largest size class down (large
-// blocks are the expensive ones to fault back in). Dropped list slots are
-// cleared so the lists' backing arrays stop referencing the blocks. It
-// returns the cells kept.
-func (a *Arena) Trim(limit uint64) (kept uint64) {
-	for c := maxClass - 1; c >= 0; c-- {
-		for i := range a.free[c] {
-			l := &a.free[c][i]
-			keep := uint64(len(l.blocks))
-			if room := (limit - kept) / l.size; keep > room {
-				keep = room
-			}
-			clear(l.blocks[keep:])
-			l.blocks = l.blocks[:keep]
-			kept += keep * l.size
-		}
-	}
-	return kept
 }
 
 // FreeCells returns the cells held on the free lists.

@@ -33,8 +33,8 @@ func TestGetPutRoundTrip(t *testing.T) {
 
 // TestExactCapacityRoundTrip recycles blocks whose sizes are not powers
 // of two, a shared forest's 3·2^k-cell tables among them: each comes back
-// from its own exact-size list, with no rounding slack, and FreeCells and
-// Trim count the real capacities.
+// from its own exact-size list, with no rounding slack, and FreeCells
+// counts the real capacities.
 func TestExactCapacityRoundTrip(t *testing.T) {
 	var a Arena
 	sizes := []uint64{3, 12, 3 << 10, 1 << 12, 5 << 9}
@@ -67,11 +67,6 @@ func TestExactCapacityRoundTrip(t *testing.T) {
 	}
 	if gets, reuses := a.Stats(); gets != 2*uint64(len(sizes)) || reuses != uint64(len(sizes)) {
 		t.Fatalf("Stats = (%d, %d), want (%d, %d)", gets, reuses, 2*len(sizes), len(sizes))
-	}
-	// One cell short of everything: the 3-cell block, in the smallest
-	// class, is the one dropped.
-	if kept := a.Trim(total - 1); kept != total-3 || a.FreeCells() != total-3 {
-		t.Fatalf("Trim(%d) kept %d cells (%d free), want %d", total-1, kept, a.FreeCells(), total-3)
 	}
 	if a.GetU32(0) != nil {
 		t.Fatalf("GetU32(0) should be nil")
@@ -156,73 +151,6 @@ func TestDedupGrowAfterShrink(t *testing.T) {
 	}
 }
 
-// fill puts count fresh blocks of size cells on a's free lists.
-func fill(a *Arena, size uint64, count int) {
-	for i := 0; i < count; i++ {
-		a.PutU32(make([]uint32, size))
-	}
-}
-
-func TestTrimKeepsAtMostLimit(t *testing.T) {
-	for _, limit := range []uint64{0, 1, 7, 100, 1000, 5000, 1 << 20} {
-		var a Arena
-		fill(&a, 256, 4)
-		fill(&a, 64, 9)
-		fill(&a, 4, 20)
-		fill(&a, 1, 3)
-		before := a.FreeCells()
-		kept := a.Trim(limit)
-		if got := a.FreeCells(); got != kept {
-			t.Errorf("limit %d: Trim reported %d kept, free lists hold %d", limit, kept, got)
-		}
-		if kept > limit {
-			t.Errorf("limit %d: kept %d cells", limit, kept)
-		}
-		if limit >= before && kept != before {
-			t.Errorf("limit %d >= %d free: kept %d, want everything", limit, before, kept)
-		}
-	}
-}
-
-func TestTrimKeepsLargerClassesFirst(t *testing.T) {
-	var a Arena
-	fill(&a, 256, 3)
-	fill(&a, 16, 10)
-	fill(&a, 2, 10)
-	// Room for two 256-cell blocks and 100 cells more: the third large
-	// block cannot fit, the 16-cell class fills 96 of the remaining 100,
-	// and the 2-cell class the last 4.
-	kept := a.Trim(2*256 + 100)
-	if kept != 2*256+96+4 {
-		t.Fatalf("kept %d cells, want %d", kept, 2*256+96+4)
-	}
-	for size, want := range map[uint64]int{256: 2, 16: 6, 2: 2} {
-		if got := len(a.list(size).blocks); got != want {
-			t.Errorf("class of size %d keeps %d blocks, want %d", size, got, want)
-		}
-	}
-}
-
-func TestTrimClearsDroppedSlots(t *testing.T) {
-	var a Arena
-	fill(&a, 32, 8)
-	a.Trim(3 * 32)
-	l := a.list(32).blocks
-	if len(l) != 3 {
-		t.Fatalf("kept %d blocks, want 3", len(l))
-	}
-	for i, b := range l[len(l):cap(l)] {
-		if b != nil {
-			t.Errorf("dropped slot %d still references a %d-cell block", len(l)+i, len(b))
-		}
-	}
-	// Trimmed lists keep working.
-	a.PutU32(make([]uint32, 32))
-	if got := a.FreeCells(); got != 4*32 {
-		t.Errorf("FreeCells after a Put = %d, want %d", got, 4*32)
-	}
-}
-
 // TestGetSlabChoiceOrder pins the order in which GetSlab picks a slab:
 // the smallest free one holding fit cells, else the smallest holding min,
 // never one above limit, else a fresh block of exactly min cells.
@@ -282,14 +210,12 @@ func TestSlabsComeBackWhole(t *testing.T) {
 }
 
 // TestRetainKeepsHeldSlabs pins that Retain keeps exactly the slabs a run
-// held, not a total of cells. The sizes are a 1/128 scale of a random
-// n=14 run's ring, whose slots swap out slabs of the same size class as
-// the ones they end up holding: a trim to the held total walks a size
-// class's lists in insertion order and would keep a swapped-out slab in
-// place of a held one.
+// held, not a total of cells: the free blocks share the held slabs' size
+// classes, and every one of them goes. The sizes are a 1/128 scale of a
+// random n=14 run's ring.
 func TestRetainKeepsHeldSlabs(t *testing.T) {
 	var a Arena
-	for _, size := range []uint64{896, 2912, 5824} { // swapped out during the run
+	for _, size := range []uint64{896, 2912, 5824} { // free, not held by the run
 		a.PutSlab(make([]uint32, size))
 	}
 	held := [][]uint32{make([]uint32, 6006), make([]uint32, 8008), make([]uint32, 8008), nil}

@@ -10,13 +10,14 @@ package arena
 //
 // The scratch has two layouts, chosen per compaction by the caller:
 //
-//   - Compact (Reset32/FindOrAssign32): when every node ID the compaction
+//   - Compact (Reset32/Slots32): when every node ID the compaction
 //     can read or assign fits in 16 bits — id0 + insertions ≤ 2^16, which
 //     holds for every table the solver meets until total BDD cost passes
 //     65k nodes — the (u0, u1) pair packs into a 32-bit key and the key
 //     and its ID share ONE uint64 slot. A probe is one load and a miss
 //     one store, instead of the two-array layout's two of each; on the
-//     compaction kernel's hot loop this is worth ~1.5x end to end.
+//     compaction kernel's hot loop this is worth ~1.5x end to end. The
+//     packed kernels inline the probe over Slots32's array.
 //   - Wide (Reset/FindOrAssign): the general 64-bit-key layout, keys and
 //     vals in parallel arrays. Correct for any uint32 IDs.
 //
@@ -54,7 +55,7 @@ func (d *Dedup) Reset(expect uint64) {
 // Reset32 prepares the scratch for a compaction that will only meet node
 // IDs below 2^16 — the caller must guarantee id0 + expect ≤ 2^16 (every
 // ID already written to the source table is below id0 by construction).
-// Probes must then use FindOrAssign32.
+// Probes must then go through Slots32.
 func (d *Dedup) Reset32(expect uint64) {
 	d.prepare(expect)
 	d.compact = true
@@ -112,27 +113,6 @@ func (d *Dedup) FindOrAssign(key uint64, id uint32) (got uint32, fresh bool) {
 // registers. The caller must have called Reset32 and must only store
 // key|id<<32 values with key != 0.
 func (d *Dedup) Slots32() (slots []uint64, shift uint) { return d.keys, d.shift }
-
-// FindOrAssign32 returns the ID recorded for key, or records id for it,
-// in the packed layout prepared by Reset32: key and ID share one slot.
-// fresh reports whether id was newly assigned.
-func (d *Dedup) FindOrAssign32(key uint32, id uint32) (got uint32, fresh bool) {
-	slots, shift := d.keys, d.shift
-	mask := uint64(len(slots) - 1)
-	slot := (uint64(key) * 0x9e3779b97f4a7c15) >> shift
-	for { //lint:allow ctxcheckpoint linear probe over a table Reset sizes to ≥ 2x the insertions, so an empty slot is always reached within the table length
-
-		s := slots[slot]
-		if uint32(s) == key {
-			return uint32(s >> 32), false
-		}
-		if s == 0 {
-			slots[slot] = uint64(key) | uint64(id)<<32
-			return id, true
-		}
-		slot = (slot + 1) & mask
-	}
-}
 
 func log2(v uint64) int {
 	n := 0

@@ -366,7 +366,7 @@ func OptimalOrderingCtx(ctx context.Context, tt *truthtable.Table, opts *SolveOp
 }
 
 // runSerial is the serial driver of the full-lattice dynamic program
-// over a caller-owned base context, as runEngine is of the work-stealing
+// over a caller-owned base context, as runEngine is of the pipelined
 // pipeline; the fs, MTBDD and shared-forest entries all run on it. It
 // polls opts' context and budget before every transition, emits to opts'
 // tracer, and returns the minimum cost and a bottom-up optimal ordering,

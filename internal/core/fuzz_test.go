@@ -116,7 +116,7 @@ func decodeSharedFuzz(data []byte) ([]*truthtable.Table, *SolveOptions) {
 }
 
 // FuzzSharedEngine cross-validates the shared-forest DP on the
-// work-stealing engine against the serial shared DP — equal MinCost and
+// pipelined engine against the serial shared DP — equal MinCost and
 // Ordering, under the decoded schedule — against the reference builder,
 // whose joint node count and per-level widths under the engine's
 // ordering must equal its MinCost and Profile, and, for n ≤ 5, against

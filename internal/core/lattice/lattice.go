@@ -140,7 +140,7 @@ func (r *Ranker) PredRanks(mask bitops.Mask, out []uint64) []uint64 {
 // MaxPredRank returns the largest layer-(k−1) rank among the one-bit
 // removal predecessors of the layer-k mask of the given rank — the rank
 // of mask \ {min member}, by the exchange argument below. It is the
-// watermark the work-stealing scheduler uses: a layer-k shard ending at
+// watermark the pipeline scheduler uses: a layer-k shard ending at
 // this mask may start as soon as the layer-(k−1) prefix up to and
 // including MaxPredRank is compacted.
 //

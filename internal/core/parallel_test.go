@@ -13,7 +13,7 @@ import (
 )
 
 // TestParallelMatchesSerialExactly is the bit-identity property of the
-// work-stealing pipeline: for every worker count and shard granularity,
+// layer pipeline: for every worker count and shard granularity,
 // cost, ordering (including tie-breaking) and profile equal the serial
 // dynamic program's exactly.
 func TestParallelMatchesSerialExactly(t *testing.T) {
@@ -112,10 +112,11 @@ func TestParallelDefaultsAndTinyInputs(t *testing.T) {
 	}
 }
 
-// TestParallelStealStorm drives the scheduler into its contended regime:
-// shards of two ranks (ShardBits: 1) and more workers than layers have
-// shards, so nearly every task moves through a steal. Meaningful under
-// `go test -race`; correctness is still bit-identity with serial.
+// TestParallelStealStorm drives the scheduler into contended claims:
+// shards of two ranks (ShardBits: 1) and 8 workers, more than the narrow
+// layers have shards, so workers race on each layer's shared claim
+// counter and frontier. Meaningful under `go test -race`; correctness is
+// still bit-identity with serial.
 func TestParallelStealStorm(t *testing.T) {
 	rng := rand.New(rand.NewSource(154))
 	for trial := 0; trial < 3; trial++ {
@@ -125,37 +126,20 @@ func TestParallelStealStorm(t *testing.T) {
 		par := mustResult(OptimalOrderingParallel(nil, f,
 			&SolveOptions{Workers: 8, ShardBits: 1}))
 		if serial.MinCost != par.MinCost {
-			t.Fatalf("n=%d: steal-storm cost %d != serial %d", n, par.MinCost, serial.MinCost)
+			t.Fatalf("n=%d: contended-run cost %d != serial %d", n, par.MinCost, serial.MinCost)
 		}
 		for i := range serial.Ordering {
 			if serial.Ordering[i] != par.Ordering[i] {
-				t.Fatalf("n=%d: steal-storm ordering differs: %v vs %v",
+				t.Fatalf("n=%d: contended-run ordering differs: %v vs %v",
 					n, par.Ordering, serial.Ordering)
 			}
 		}
 	}
 }
 
-// TestParallelPinned checks the no-stealing schedule: results stay
-// bit-identical when workers only run shards they claimed themselves.
-func TestParallelPinned(t *testing.T) {
-	f := truthtable.Random(8, rand.New(rand.NewSource(155)))
-	serial := OptimalOrdering(f, nil)
-	par := mustResult(OptimalOrderingParallel(nil, f,
-		&SolveOptions{Workers: 4, ShardBits: 2, Pinned: true}))
-	if serial.MinCost != par.MinCost {
-		t.Fatalf("pinned cost %d != serial %d", par.MinCost, serial.MinCost)
-	}
-	for i := range serial.Ordering {
-		if serial.Ordering[i] != par.Ordering[i] {
-			t.Fatalf("pinned ordering differs: %v vs %v", par.Ordering, serial.Ordering)
-		}
-	}
-}
-
 // TestParallelCancellationDrains cancels mid-run and checks the drain
 // contract: ErrCanceled, nil result, and a meter whose live cells return
-// to zero — every deque drained and every engine-owned table released.
+// to zero — every worker drained and every engine-owned table released.
 func TestParallelCancellationDrains(t *testing.T) {
 	f := truthtable.Random(10, rand.New(rand.NewSource(156)))
 	ctx, cancel := stdctx.WithCancel(stdctx.Background())
@@ -196,8 +180,8 @@ func TestParallelBudgetDrains(t *testing.T) {
 }
 
 // TestSharedParallelMatchesSerial is the bit-identity property of the
-// shared-forest DP on the work-stealing engine: for every schedule
-// (workers × shard bits × pinning), both rules, 1–4 roots (one case
+// shared-forest DP on the pipelined engine: for every schedule
+// (workers × shard bits), both rules, 1–4 roots (one case
 // repeating a root) and n 0–10, MinCost, Ordering, Profile,
 // Meter.CellOps and Meter.Compactions equal the serial shared DP's
 // exactly, and the meter ends with no live cells.
@@ -221,32 +205,30 @@ func TestSharedParallelMatchesSerial(t *testing.T) {
 				serial := OptimalOrderingShared(roots, &SolveOptions{Rule: rule, Meter: sm})
 				for _, workers := range []int{1, 2, 4} {
 					for _, shardBits := range []int{0, 1} {
-						for _, pinned := range []bool{false, true} {
-							m := &Meter{}
-							par, err := OptimalOrderingSharedParallel(nil, roots, &SolveOptions{
-								Rule: rule, Meter: m, Workers: workers, ShardBits: shardBits, Pinned: pinned,
-							})
-							where := fmt.Sprintf("%s n=%d roots=%d dup=%v w=%d sb=%d pinned=%v",
-								rule, n, rc.roots, rc.dup, workers, shardBits, pinned)
-							if err != nil {
-								t.Fatalf("%s: %v", where, err)
-							}
-							if par.MinCost != serial.MinCost {
-								t.Fatalf("%s: MinCost %d != serial %d", where, par.MinCost, serial.MinCost)
-							}
-							if !slices.Equal(par.Ordering, serial.Ordering) {
-								t.Fatalf("%s: ordering %v != serial %v", where, par.Ordering, serial.Ordering)
-							}
-							if !slices.Equal(par.Profile, serial.Profile) {
-								t.Fatalf("%s: profile %v != serial %v", where, par.Profile, serial.Profile)
-							}
-							if m.CellOps != sm.CellOps || m.Compactions != sm.Compactions {
-								t.Fatalf("%s: CellOps %d Compactions %d != serial %d %d",
-									where, m.CellOps, m.Compactions, sm.CellOps, sm.Compactions)
-							}
-							if m.LiveCells != 0 {
-								t.Errorf("%s: LiveCells = %d after the run, want 0", where, m.LiveCells)
-							}
+						m := &Meter{}
+						par, err := OptimalOrderingSharedParallel(nil, roots, &SolveOptions{
+							Rule: rule, Meter: m, Workers: workers, ShardBits: shardBits,
+						})
+						where := fmt.Sprintf("%s n=%d roots=%d dup=%v w=%d sb=%d",
+							rule, n, rc.roots, rc.dup, workers, shardBits)
+						if err != nil {
+							t.Fatalf("%s: %v", where, err)
+						}
+						if par.MinCost != serial.MinCost {
+							t.Fatalf("%s: MinCost %d != serial %d", where, par.MinCost, serial.MinCost)
+						}
+						if !slices.Equal(par.Ordering, serial.Ordering) {
+							t.Fatalf("%s: ordering %v != serial %v", where, par.Ordering, serial.Ordering)
+						}
+						if !slices.Equal(par.Profile, serial.Profile) {
+							t.Fatalf("%s: profile %v != serial %v", where, par.Profile, serial.Profile)
+						}
+						if m.CellOps != sm.CellOps || m.Compactions != sm.Compactions {
+							t.Fatalf("%s: CellOps %d Compactions %d != serial %d %d",
+								where, m.CellOps, m.Compactions, sm.CellOps, sm.Compactions)
+						}
+						if m.LiveCells != 0 {
+							t.Errorf("%s: LiveCells = %d after the run, want 0", where, m.LiveCells)
 						}
 					}
 				}

@@ -38,22 +38,17 @@ type SolveOptions struct {
 	// Budget bounds the run's resources; the zero value is unlimited.
 	// The portfolio also dispatches on MaxCells (see Portfolio).
 	Budget Budget
-	// Workers is the goroutine count of the work-stealing DP engine, as
-	// run by the parallel solver, the portfolio and
+	// Workers is the goroutine count of the pipelined DP engine, as run
+	// by the parallel solver, the portfolio and
 	// OptimalOrderingSharedParallel; 0 selects GOMAXPROCS, or one worker
 	// on the calling goroutine when the run is small (see runEngine).
 	Workers int
-	// ShardBits overrides the work-stealing scheduler's shard granularity:
-	// when positive, each popcount layer is split into shards of 2^ShardBits
+	// ShardBits overrides the engine scheduler's shard granularity: when
+	// positive, each popcount layer is split into shards of 2^ShardBits
 	// ranks. 0 (the default) sizes shards automatically from the layer size
-	// and worker count. Setting it also keeps the pipeline engaged at
-	// Workers == 1, which scheduling tests use to exercise shard seams
-	// without concurrency.
+	// and worker count. Scheduling tests set it to exercise shard seams,
+	// at one worker too.
 	ShardBits int
-	// Pinned disables work stealing: each worker runs only shards it
-	// claimed itself. Useful for isolating scheduling effects; throughput
-	// is generally worse than the stealing default.
-	Pinned bool
 	// Seeder overrides the heuristic seeding phase of the portfolio; nil
 	// selects DefaultSeeder.
 	Seeder Seeder
@@ -130,13 +125,6 @@ func (o *SolveOptions) shardBits() int {
 		return 0
 	}
 	return o.ShardBits
-}
-
-func (o *SolveOptions) pinnedSchedule() bool {
-	if o == nil {
-		return false
-	}
-	return o.Pinned
 }
 
 // Seeder is a heuristic ordering pass: it returns an ordering of tt's
@@ -220,8 +208,8 @@ func init() {
 // holds at most its peak of live cells (Remark 1; PeakCellsBound(n) for
 // singletons).
 //
-//   - The work-stealing DP engine runs at every n, over the orbit
-//     lattice, under the caller's Workers/ShardBits/Pinned schedule.
+//   - The pipelined DP engine runs at every n, over the orbit lattice,
+//     under the caller's Workers/ShardBits schedule.
 //     Its result is bit-identical to OptimalOrderingParallel's.
 //   - Branch-and-bound, seeded one above the heuristic phase's cost,
 //     runs instead only when Budget.MaxCells is below the orbit peak:

@@ -47,7 +47,7 @@ func TestPortfolioMatchesDP(t *testing.T) {
 }
 
 // TestPortfolioMatchesParallel pins the dispatch: with no cell budget the
-// portfolio is the work-stealing DP engine, so on random functions of up
+// portfolio is the pipelined DP engine, so on random functions of up
 // to 12 variables, under both rules and under the caller's schedule, its
 // result — cost, ordering, profile — is bit-identical to parallel's.
 func TestPortfolioMatchesParallel(t *testing.T) {
@@ -74,9 +74,9 @@ func TestPortfolioMatchesParallel(t *testing.T) {
 // TestPortfolioOrbitMatchesFS is the bit-identity property of the DP
 // over symmetry orbits: on every conformance family (the symmetric,
 // threshold, achilles, readonce and sparse ones carry symmetry groups),
-// both rules, n 3–12 and every schedule (workers × shard bits ×
-// pinning), the portfolio's MinCost, Ordering and Profile equal the
-// serial full-lattice DP's.
+// both rules, n 3–12 and every schedule (workers × shard bits), the
+// portfolio's MinCost, Ordering and Profile equal the serial full-lattice
+// DP's.
 func TestPortfolioOrbitMatchesFS(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for _, fam := range conformance.Families() {
@@ -89,17 +89,15 @@ func TestPortfolioOrbitMatchesFS(t *testing.T) {
 				}
 				for _, workers := range []int{1, 2, 4} {
 					for _, shardBits := range []int{0, 1} {
-						for _, pinned := range []bool{false, true} {
-							opts := &core.SolveOptions{Rule: rule, Workers: workers, ShardBits: shardBits, Pinned: pinned}
-							got, err := core.Portfolio(stdctx.Background(), tt, opts)
-							if err != nil {
-								t.Fatalf("%s %v n=%d %+v: %v", fam.Name, rule, n, opts, err)
-							}
-							if got.MinCost != want.MinCost || !reflect.DeepEqual(got.Ordering, want.Ordering) || !reflect.DeepEqual(got.Profile, want.Profile) {
-								t.Fatalf("%s %v n=%d groups %v w=%d sb=%d pinned=%v: portfolio %d %v %v, fs %d %v %v",
-									fam.Name, rule, n, truthtable.Groups(tt), workers, shardBits, pinned,
-									got.MinCost, got.Ordering, got.Profile, want.MinCost, want.Ordering, want.Profile)
-							}
+						opts := &core.SolveOptions{Rule: rule, Workers: workers, ShardBits: shardBits}
+						got, err := core.Portfolio(stdctx.Background(), tt, opts)
+						if err != nil {
+							t.Fatalf("%s %v n=%d %+v: %v", fam.Name, rule, n, opts, err)
+						}
+						if got.MinCost != want.MinCost || !reflect.DeepEqual(got.Ordering, want.Ordering) || !reflect.DeepEqual(got.Profile, want.Profile) {
+							t.Fatalf("%s %v n=%d groups %v w=%d sb=%d: portfolio %d %v %v, fs %d %v %v",
+								fam.Name, rule, n, truthtable.Groups(tt), workers, shardBits,
+								got.MinCost, got.Ordering, got.Profile, want.MinCost, want.Ordering, want.Profile)
 						}
 					}
 				}
@@ -152,10 +150,10 @@ func TestPortfolioOrbitLayerEvents(t *testing.T) {
 	}
 }
 
-// TestPortfolioOrbitStealStorm drives the orbit run through the
-// scheduler's contended regime (8 workers over 2-rank shards, most of
-// them non-canonical and skipped); meaningful under -race, and still
-// bit-identical to the serial DP.
+// TestPortfolioOrbitStealStorm drives the orbit run through contended
+// claims: 8 workers race for 2-rank shards, most of them non-canonical
+// and skipped, on each layer's shared claim counter and frontier.
+// Meaningful under -race, and still bit-identical to the serial DP.
 func TestPortfolioOrbitStealStorm(t *testing.T) {
 	for _, tt := range []*truthtable.Table{funcs.AchillesHeel(5), funcs.Threshold(10, 3), funcs.AdderCarry(5)} {
 		want := core.OptimalOrdering(tt, nil)
@@ -164,7 +162,7 @@ func TestPortfolioOrbitStealStorm(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got.MinCost != want.MinCost || !reflect.DeepEqual(got.Ordering, want.Ordering) {
-			t.Fatalf("groups %v: steal-storm %d %v, fs %d %v", truthtable.Groups(tt), got.MinCost, got.Ordering, want.MinCost, want.Ordering)
+			t.Fatalf("groups %v: contended run %d %v, fs %d %v", truthtable.Groups(tt), got.MinCost, got.Ordering, want.MinCost, want.Ordering)
 		}
 	}
 }

@@ -22,7 +22,7 @@ import (
 // deduplicates (u0, u1) pairs across all roots jointly, preserving the
 // invariant that two cells (of any roots) hold equal IDs iff their
 // subfunctions are equal. Every shared entry runs a single-root driver
-// on that one table: the serial DP (the reference), the work-stealing
+// on that one table: the serial DP (the reference), the pipelined
 // engine, profileAlong and the brute-force search.
 
 // SharedResult reports a shared-forest minimization. The JSON tags keep
@@ -64,7 +64,7 @@ func OptimalOrderingShared(tts []*truthtable.Table, opts *SolveOptions) *SharedR
 // SolveShared runs: the fs solver's serial driver (runSerial) over the
 // concatenated base of baseContextShared, one goroutine building every
 // candidate table of every layer with none of the engine's scheduling
-// code. The schedule options (Workers, ShardBits, Pinned) are ignored, as
+// code. The schedule options (Workers, ShardBits) are ignored, as
 // by the fs solver.
 func OptimalOrderingSharedCtx(ctx stdctx.Context, tts []*truthtable.Table, opts *SolveOptions) (*SharedResult, error) {
 	if len(tts) == 0 {
@@ -112,10 +112,10 @@ func baseContextShared(tts []*truthtable.Table) *fsContext {
 }
 
 // OptimalOrderingSharedParallel is OptimalOrderingSharedCtx on the
-// work-stealing engine of OptimalOrderingParallel, over the same
+// pipelined engine of OptimalOrderingParallel, over the same
 // concatenated base, under the schedule options: opts.Workers (0 selects
-// GOMAXPROCS, or one inline worker for small runs, see runEngine),
-// opts.ShardBits and opts.Pinned. MinCost, Ordering, Profile,
+// GOMAXPROCS, or one inline worker for small runs, see runEngine) and
+// opts.ShardBits. MinCost, Ordering, Profile,
 // Meter.CellOps and Meter.Compactions (one per DP transition) are
 // bit-identical to the serial reference at every schedule and every n;
 // LiveCells/PeakCells reflect the engine's three-layer window, so a

@@ -16,9 +16,9 @@ import (
 	"obddopt/internal/truthtable"
 )
 
-// This file is the work-stealing layer pipeline behind the "parallel"
-// solver: the subset DP of fs.go re-scheduled so that no worker ever
-// waits at a popcount-layer barrier.
+// This file is the layer pipeline behind the "parallel" solver: the
+// subset DP of fs.go re-scheduled so that no worker ever waits at a
+// popcount-layer barrier.
 //
 // Each popcount layer k is the dense rank range [0, C(n,k)) of the
 // lattice package; the scheduler partitions it into cache-line-aligned
@@ -28,10 +28,12 @@ import (
 // any of the shard's destinations by one-bit removal, which
 // lattice.MaxPredRank evaluates in O(k) and which is monotone in the
 // destination rank, so one watermark per shard (its last destination)
-// suffices and shards become eligible strictly in rank order. Workers
-// therefore run ahead into layer k+1 while slower shards of layer k are
-// still compacting; the full-layer barrier of the old coordinator
-// design exists only implicitly, as the last watermark of each layer.
+// suffices and shards become eligible strictly in rank order. Every
+// worker claims the next eligible shard straight from its layer's shared
+// counter and runs it at once, so workers run ahead into layer k+1 while
+// slower shards of layer k are still compacting; the full-layer barrier
+// of the old coordinator design exists only implicitly, as the last
+// watermark of each layer.
 //
 // Each destination subset S with |S| = k has k predecessors S\{p}. The
 // serial DP compacts all k candidate tables and keeps the cheapest;
@@ -92,44 +94,6 @@ import (
 type wsTask struct {
 	layer int
 	shard int
-}
-
-// wsDeque is one worker's task deque: the owner pushes and pops at the
-// back (LIFO — freshly unlocked shards are cache-hot), thieves take
-// from the front (FIFO — the oldest task is the most likely to gate a
-// frontier). Shards are coarse (thousands of cell operations each), so
-// a mutex costs nothing measurable next to the work.
-type wsDeque struct {
-	mu sync.Mutex
-	q  []wsTask
-}
-
-func (d *wsDeque) push(t wsTask) {
-	d.mu.Lock()
-	d.q = append(d.q, t)
-	d.mu.Unlock()
-}
-
-func (d *wsDeque) pop() (wsTask, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if len(d.q) == 0 {
-		return wsTask{}, false
-	}
-	t := d.q[len(d.q)-1]
-	d.q = d.q[:len(d.q)-1]
-	return t, true
-}
-
-func (d *wsDeque) steal() (wsTask, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if len(d.q) == 0 {
-		return wsTask{}, false
-	}
-	t := d.q[0]
-	d.q = d.q[1:]
-	return t, true
 }
 
 // wsShardAlign is the shard granularity in ranks: 16 ranks keep each
@@ -207,12 +171,13 @@ const wsSlabLimit = 16
 // carve, and the slot's previous layer, k−3, is dead by then: claim opens
 // layer k only once layer k−2 is complete, and layer k−2's shards were
 // the last readers of layer k−3. A slot keeps its slab while the next
-// layer fits and otherwise swaps it for, in order, the smallest free slab
-// that holds the slot's largest layer, the smallest that holds the
-// opening layer, or a fresh block of just the opening layer, never one
-// above wsSlabLimit times the slot's largest layer. The arena is pooled:
-// acquired on the first take, shared by the workers behind mu, and
-// released holding exactly the run's slabs.
+// layer fits. Otherwise it drops the slab for the GC (layer sizes rise to
+// one peak and then fall, so no later layer of the run would fit it) and
+// takes, in order, the smallest free slab that holds the slot's largest
+// layer, the smallest that holds the opening layer, or a fresh block of
+// just the opening layer, never one above wsSlabLimit times the slot's
+// largest layer. The arena is pooled: acquired on the first take, shared
+// by the workers behind mu, and released holding exactly the run's slabs.
 type wsRing struct {
 	mu    sync.Mutex
 	ar    *arena.Arena
@@ -232,11 +197,8 @@ func (r *wsRing) take(k int, cells uint64) []uint32 {
 	if r.ar == nil {
 		r.ar = arena.Acquire()
 	}
-	if old := r.slabs[s]; old != nil {
-		r.ar.PutSlab(old)
-		if ringHook != nil {
-			ringHook(r.ar, 0, old, false)
-		}
+	if old := r.slabs[s]; old != nil && ringHook != nil {
+		ringHook(r.ar, 0, old, false)
 	}
 	_, reuses := r.ar.Stats()
 	slab := r.ar.GetSlab(r.most[s], cells, wsSlabLimit*r.most[s])
@@ -263,17 +225,16 @@ func (r *wsRing) release() {
 }
 
 // ringHook, when set, sees each slab a ring takes for opening layer k
-// (fresh when no free slab qualified), each one it gives back to its
-// arena (k = 0), and the arena at release, once it holds exactly the
-// run's slabs (k = -1). A ring's calls never overlap: takes hold its
-// lock, and release runs after every worker joined. Tests use it to
-// audit the slab lifecycle; it is nil otherwise.
+// (fresh when no free slab qualified), each one that leaves the ring,
+// swapped out of its slot (k = 0), and the arena at release, once it
+// holds exactly the run's slabs (k = -1). A ring's calls never overlap:
+// takes hold its lock, and release runs after every worker joined. Tests
+// use it to audit the slab lifecycle; it is nil otherwise.
 var ringHook func(ar *arena.Arena, k int, slab []uint32, fresh bool)
 
 // wsWorker is the goroutine-local state of one pipeline worker.
 type wsWorker struct {
-	ws    *workspace
-	meter *Meter
+	ws *workspace
 	// seen/gen implement classReps' distinct-label set below the wide
 	// ceiling: seen is indexed directly by built-table label (< 2^16),
 	// grown on demand to the next power of two above the largest label
@@ -284,7 +245,6 @@ type wsWorker struct {
 	reps     []uint32
 	predBuf  []uint64
 	executed uint64
-	steals   uint64
 }
 
 func (wk *wsWorker) nextGen() uint32 {
@@ -296,8 +256,8 @@ func (wk *wsWorker) nextGen() uint32 {
 	return wk.gen
 }
 
-// wsEngine is one work-stealing DP run over the orbit lattice of a
-// symmetry partition of the full variable set.
+// wsEngine is one pipelined DP run over the orbit lattice of a symmetry
+// partition of the full variable set.
 type wsEngine struct {
 	n         int
 	rule      Rule
@@ -307,8 +267,6 @@ type wsEngine struct {
 	layers    []*wsLayer
 	ring      wsRing
 	workers   []*wsWorker
-	deques    []wsDeque
-	pinned    bool
 	tr        obs.Tracer
 
 	// groups is the partition, group[v] the group holding variable v,
@@ -432,7 +390,7 @@ func wsShardSize(count uint64, workers, shardBits int) uint64 {
 
 // newWSEngine lays out every layer's result arrays, shard table and
 // watermarks for a run over the orbit lattice of groups, under opts'
-// rule, budget, trace, shard bits and pinning. The layer-0 pseudo-layer
+// rule, budget, trace and shard bits. The layer-0 pseudo-layer
 // wraps the caller-owned base context and is born complete.
 func newWSEngine(ctx stdctx.Context, base *fsContext, groups []bitops.Mask, workers int, opts *SolveOptions) *wsEngine {
 	n := base.n
@@ -445,7 +403,6 @@ func newWSEngine(ctx stdctx.Context, base *fsContext, groups []bitops.Mask, work
 		base:      base,
 		baseCells: base.cells(),
 		rk:        rk,
-		pinned:    opts.pinnedSchedule(),
 		tr:        opts.trace(),
 		groups:    groups,
 		group:     make([]bitops.Mask, n),
@@ -454,7 +411,6 @@ func newWSEngine(ctx stdctx.Context, base *fsContext, groups []bitops.Mask, work
 		budget:    budget,
 		checks:    ctx != nil || !budget.zero(),
 		layers:    make([]*wsLayer, n+1),
-		deques:    make([]wsDeque, workers),
 		workers:   make([]*wsWorker, workers),
 	}
 	for _, g := range groups {
@@ -466,7 +422,6 @@ func newWSEngine(ctx stdctx.Context, base *fsContext, groups []bitops.Mask, work
 	for w := range e.workers {
 		e.workers[w] = &wsWorker{
 			ws:      acquireWorkspace(),
-			meter:   &Meter{},
 			predBuf: make([]uint64, n),
 		}
 	}
@@ -544,18 +499,15 @@ func (e *wsEngine) canon(s bitops.Mask) bitops.Mask {
 	return c
 }
 
-// claim scans the spawn window for eligible shards and pushes up to
-// wsClaimBatch of them onto worker w's deque. A layer-j shard is
+// claim claims the next eligible shard of the spawn window and returns
+// it, or false when no shard is eligible yet. A layer-j shard is
 // eligible when (a) layer j−2 is complete — the three-layer liveness
 // window — and (b) the compacted prefix of layer j−1 covers the shard's
 // predecessor watermark. Watermarks are monotone within a layer, so
 // claiming through the spawned counter in rank order never skips an
 // eligible shard.
-const wsClaimBatch = 2
-
-func (e *wsEngine) claim(w int) bool {
-	claimed := 0
-	for j := int(e.spawnLo.Load()); j <= e.n && claimed < wsClaimBatch; j++ {
+func (e *wsEngine) claim() (wsTask, bool) {
+	for j := int(e.spawnLo.Load()); j <= e.n; j++ {
 		l := e.layers[j]
 		if lo := int64(j); l.spawned.Load() >= int64(l.nShards) {
 			// Fully claimed layers at the window floor advance it.
@@ -566,32 +518,15 @@ func (e *wsEngine) claim(w int) bool {
 			break // window closed; higher layers are closed a fortiori
 		}
 		prev := e.layers[j-1]
-		for claimed < wsClaimBatch {
-			s := l.spawned.Load()
-			if s >= int64(l.nShards) || prev.covered() < l.watermark[s] {
-				break
-			}
+		for s := l.spawned.Load(); s < int64(l.nShards) && prev.covered() >= l.watermark[s]; s = l.spawned.Load() {
 			if !l.spawned.CompareAndSwap(s, s+1) {
-				continue
+				continue // another worker claimed shard s first
 			}
 			if s == 0 && e.tr != nil {
 				l.startNS.Store(time.Now().UnixNano())
 				e.tr.Emit(obs.Event{Kind: obs.KindLayerStart, K: j, Subsets: int(e.states[j-1])})
 			}
-			e.deques[w].push(wsTask{layer: j, shard: int(s)})
-			claimed++
-		}
-	}
-	return claimed > 0
-}
-
-// trySteal takes the oldest task from another worker's deque.
-func (e *wsEngine) trySteal(w int) (wsTask, bool) {
-	for i := 1; i < len(e.deques); i++ {
-		victim := (w + i) % len(e.deques)
-		if t, ok := e.deques[victim].steal(); ok {
-			e.workers[w].steals++
-			return t, true
+			return wsTask{layer: j, shard: int(s)}, true
 		}
 	}
 	return wsTask{}, false
@@ -601,29 +536,18 @@ func (e *wsEngine) trySteal(w int) (wsTask, bool) {
 // outstanding.
 func (e *wsEngine) finished() bool { return e.layers[e.n].complete() }
 
-// run is one worker's scheduling loop: own deque first (LIFO), then
-// claiming newly eligible shards, then stealing (unless pinned), then
-// an idle backoff.
+// run is one worker's scheduling loop: claim the next eligible shard and
+// run it at once, or back off while none is eligible.
 func (e *wsEngine) run(w int) {
 	idle := 0
 	for { //lint:allow ctxcheckpoint the scheduling loop's first action every iteration is the stop-flag test, and runShard polls the engine checkpoint (ctx + budget) once per DP transition
 		if e.stop.Load() || e.finished() {
 			return
 		}
-		if t, ok := e.deques[w].pop(); ok {
+		if t, ok := e.claim(); ok {
 			e.runShard(w, t)
 			idle = 0
 			continue
-		}
-		if e.claim(w) {
-			continue
-		}
-		if !e.pinned {
-			if t, ok := e.trySteal(w); ok {
-				e.runShard(w, t)
-				idle = 0
-				continue
-			}
 		}
 		idle++
 		if idle < 64 {
@@ -721,7 +645,6 @@ func (e *wsEngine) runShard(w int, t wsTask) {
 				width = classWidth(prev.table(pr), pos, e.rule, reps)
 			}
 			cand := prev.costs[pr] + width
-			wk.meter.addCells(size)
 			layerOps += size
 			switch {
 			case cand < best:
@@ -850,12 +773,14 @@ func classWidth(src []uint32, pos uint, rule Rule, reps []uint32) (width uint64)
 // last shard: it retires the now-unreadable previous layer (opening the
 // liveness window for layer j+2) and emits the layer-granular
 // observability the serial DP emits from its loop. Retiring returns the
-// layer's cells to the gauge; its slab stays in the ring for layer j+2.
+// layer's cells to the gauge and drops the layer's hold on its slab, which
+// stays in the ring for layer j+2 unless that layer swaps it out.
 func (e *wsEngine) completeLayer(j int) {
 	l := e.layers[j]
 	if j > 1 {
 		prev := e.layers[j-1]
 		e.gaugeFree(prev.carved.Load() * prev.cells)
+		prev.slab = nil
 	}
 	ops := l.ops.Load()
 	obs.Metrics.CellOps.Add(ops)
@@ -877,15 +802,14 @@ func (e *wsEngine) completeLayer(j int) {
 
 // releaseAll frees every engine-owned table still live (abort path, or
 // the normal path after the final table is consumed) with the ring's
-// slabs and returns the workers' workspaces to the pool, capped at the
-// run's peak cells. Every worker must have joined.
+// slabs and returns the workers' workspaces to the pool. Every worker
+// must have joined.
 func (e *wsEngine) releaseAll() {
 	e.ring.release()
-	wss := make([]*workspace, len(e.workers))
-	for w, wk := range e.workers {
-		wss[w], wk.ws = wk.ws, nil
+	for _, wk := range e.workers {
+		wk.ws.release()
+		wk.ws = nil
 	}
-	releaseCapped(wss, uint64(e.peak.Load()))
 }
 
 // engineInlineCellOps is the closed-form cell-operation count below
@@ -897,13 +821,13 @@ func (e *wsEngine) releaseAll() {
 // in 1.09×, so random tables cross it between n = 9 and n = 10.
 const engineInlineCellOps = 1 << 17
 
-// runEngine is the driver of the work-stealing pipeline over a
-// caller-owned base context and the orbit lattice of groups: it runs
-// worker 0 on the calling goroutine beside the others, merges their lane
-// meters and the engine's cell gauge into m at run granularity, walks
-// the minimizing-candidate masks from the full set back down, and
-// releases every engine-owned table. The base's own cells stay the
-// caller's to meter. It returns the minimum cost and a bottom-up optimal
+// runEngine is the driver of the layer pipeline over a caller-owned base
+// context and the orbit lattice of groups: it runs worker 0 on the
+// calling goroutine beside the others, charges m with the layers' cell
+// operations and folds the engine's cell gauge into it at run
+// granularity, walks the minimizing-candidate masks from the full set
+// back down, and releases every engine-owned table. The base's own cells
+// stay the caller's to meter. It returns the minimum cost and a bottom-up optimal
 // ordering, or the engine's ErrCanceled / ErrBudgetExceeded with m's
 // LiveCells back where they were. opts.Workers 0 selects one worker when
 // the run's cell operations (OrbitBounds times the root count) are below
@@ -931,24 +855,23 @@ func runEngine(ctx stdctx.Context, base *fsContext, groups []bitops.Mask, opts *
 	e.run(0)
 	wg.Wait()
 
-	// All workers have joined: merge the per-worker lane meters (the
-	// portfolio idiom) and fold the engine's cell gauge into the
-	// caller's meter at run granularity.
-	var shards, steals uint64
+	// All workers have joined: charge the caller's meter every layer's
+	// cell operations, stopped shards' included, with one transition per
+	// candidate of l.cells cells, and fold the engine's cell gauge into it
+	// at run granularity.
+	var shards uint64
 	for _, wk := range e.workers {
-		lm := wk.meter
-		if m != nil {
-			m.CellOps += lm.CellOps
-			m.Compactions += lm.Compactions
-			m.Evaluations += lm.Evaluations
-		}
 		shards += wk.executed
-		steals += wk.steals
 		obs.Hist(obs.HistNameShardOccupancy).Record(wk.executed)
 	}
 	obs.Metrics.ShardsExecuted.Add(shards)
-	obs.Metrics.ShardSteals.Add(steals)
-	obs.Hist(obs.HistNameRunSteals).Record(steals)
+	if m != nil {
+		for _, l := range e.layers[1:] {
+			ops := l.ops.Load()
+			m.CellOps += ops
+			m.Compactions += ops / l.cells
+		}
+	}
 	peak := uint64(e.peak.Load())
 	if err := e.failErr(); err != nil {
 		e.releaseAll()
@@ -960,15 +883,21 @@ func runEngine(ctx stdctx.Context, base *fsContext, groups []bitops.Mask, opts *
 	final := uint64(e.live.Load())
 	m.alloc(peak)
 	m.free(peak - final)
+	minCost, order := e.layers[e.n].costs[0], e.ordering()
+	e.releaseAll()
+	m.free(final)
+	return minCost, order, nil
+}
 
-	// The full DP's parent at rel is its smallest member whose value is
-	// minimal; values depend only on the group, so that is the lowest
-	// member of rel in any group minimizing at rel's representative.
-	n := e.n
-	minCost := e.layers[n].costs[0]
-	order := make(truthtable.Ordering, n)
-	rel := bitops.FullMask(n)
-	for j := n; j >= 1; j-- {
+// ordering walks a finished run's minimizing-candidate masks from the full
+// set back down and returns the bottom-up optimal ordering. The full DP's
+// parent at rel is its smallest member whose value is minimal; values
+// depend only on the group, so that is the lowest member of rel in any
+// group minimizing at rel's representative.
+func (e *wsEngine) ordering() truthtable.Ordering {
+	order := make(truthtable.Ordering, e.n)
+	rel := bitops.FullMask(e.n)
+	for j := e.n; j >= 1; j-- {
 		var minGroups bitops.Mask
 		for t := uint64(e.layers[j].argmin[e.rk.Rank(e.canon(rel))]); t != 0; t &= t - 1 {
 			minGroups |= e.group[bits.TrailingZeros64(t)]
@@ -977,18 +906,16 @@ func runEngine(ctx stdctx.Context, base *fsContext, groups []bitops.Mask, opts *
 		order[j-1] = p
 		rel = rel.Without(p)
 	}
-	e.releaseAll()
-	m.free(final)
-	return minCost, order, nil
+	return order
 }
 
 // OptimalOrderingParallel runs the Friedman–Supowit dynamic program on
-// the work-stealing layer pipeline above, over the full subset lattice:
-// popcount layers are sharded over opts.Workers goroutines (0 selects
-// GOMAXPROCS, or one inline worker for small runs, see runEngine) with
-// deque-based work stealing, and workers flow into the next layer as
-// soon as its predecessor watermark is covered instead of waiting at a
-// layer barrier. Results — cost, ordering, tie-breaking, profile — are
+// the layer pipeline above, over the full subset lattice: popcount layers
+// are sharded over opts.Workers goroutines (0 selects GOMAXPROCS, or one
+// inline worker for small runs, see runEngine), each claiming the next
+// eligible shard from the shared frontier, and workers flow into the next
+// layer as soon as its predecessor watermark is covered instead of
+// waiting at a layer barrier. Results — cost, ordering, tie-breaking, profile — are
 // bit-identical to OptimalOrderingCtx at every worker count and shard
 // size; CellOps/Compactions metering is identical too, while
 // LiveCells/PeakCells reflect the pipeline's three-layer window
@@ -1003,14 +930,14 @@ func runEngine(ctx stdctx.Context, base *fsContext, groups []bitops.Mask, opts *
 // Tables are carved from a per-run ring of three layer slabs, each taken
 // whole when its layer's first table is carved, while LiveCells (and
 // Budget.MaxCells) count carved tables. A run, stopped or not, holds
-// beyond that gauge only slabs of layers it opened: the uncarved rest of
-// at most two open layers, slabs of retired layers whose slots are not
-// yet reopened, and slabs swapped out of their slots; it allocates
-// nothing for a layer it never reached.
+// beyond that gauge only the ring's slabs, all of layers it opened: the
+// uncarved rest of at most two open layers and the slabs of retired
+// layers whose slots are not yet reopened. A slab swapped out of its slot
+// is no longer held, and nothing is allocated for a layer the run never
+// reached.
 //
 // opts.ShardBits overrides the shard granularity (2^b ranks per shard)
-// for scheduling experiments; opts.Pinned disables stealing so each
-// worker runs only shards it claimed itself.
+// for scheduling experiments.
 func OptimalOrderingParallel(ctx stdctx.Context, tt *truthtable.Table, opts *SolveOptions) (*Result, error) {
 	return optimalOrderingOrbits(ctx, tt, singletons(tt.NumVars()), opts)
 }

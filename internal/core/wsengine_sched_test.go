@@ -13,63 +13,55 @@ import (
 	"obddopt/internal/truthtable"
 )
 
-// TestWSDequeSemantics pins the deque discipline the scheduler relies
-// on: the owner pops LIFO at the back, thieves steal FIFO at the front,
-// and both report emptiness instead of blocking.
-func TestWSDequeSemantics(t *testing.T) {
-	var d wsDeque
-	for s := 0; s < 3; s++ {
-		d.push(wsTask{layer: 1, shard: s})
-	}
-	if got, ok := d.steal(); !ok || got.shard != 0 {
-		t.Fatalf("steal = %+v, %v; want shard 0 (FIFO front)", got, ok)
-	}
-	if got, ok := d.pop(); !ok || got.shard != 2 {
-		t.Fatalf("pop = %+v, %v; want shard 2 (LIFO back)", got, ok)
-	}
-	if got, ok := d.pop(); !ok || got.shard != 1 {
-		t.Fatalf("pop = %+v, %v; want shard 1", got, ok)
-	}
-	if _, ok := d.pop(); ok {
-		t.Fatal("pop on empty deque reported a task")
-	}
-	if _, ok := d.steal(); ok {
-		t.Fatal("steal on empty deque reported a task")
-	}
-}
-
-// TestWSEngineStealPath drives the run loop's steal branch
-// deterministically: with one shard per layer, worker 1 claims the only
-// eligible shard, then worker 0's scheduling loop — own deque empty,
-// nothing left to claim — must steal it and carry the whole pipeline to
-// completion single-handedly. The final layer's cost must still match
-// the serial dynamic program.
-func TestWSEngineStealPath(t *testing.T) {
-	f := truthtable.Random(6, rand.New(rand.NewSource(221)))
+// TestClaimEligibility drives claim directly on a one-worker engine over
+// 2-rank shards. It claims every eligible shard without running it, then
+// runs one waiting shard and claims again, holding back each layer's last
+// shard while any other waits, so later layers' prefixes advance while an
+// earlier layer still has a shard outstanding. Every layer-j claim must
+// find layer j−2 complete and layer j−1's compacted prefix covering the
+// shard's watermark, shards must come in rank order with none claimed
+// twice or skipped, and the run must end with the serial DP's cost and
+// ordering.
+func TestClaimEligibility(t *testing.T) {
+	f := truthtable.Random(7, rand.New(rand.NewSource(227)))
 	serial := OptimalOrdering(f, nil)
-
-	base := baseContext(f)
-	e := newWSEngine(nil, base, singletons(6), 2, &SolveOptions{ShardBits: 30})
-	if !e.claim(1) {
-		t.Fatal("claim(1) found no eligible shard")
+	e := newWSEngine(nil, baseContext(f), singletons(7), 1, &SolveOptions{ShardBits: 1})
+	defer e.releaseAll()
+	next := make([]int, e.n+1) // next[j]: the shards of layer j claimed so far
+	var waiting []wsTask
+	for !e.finished() {
+		for tk, ok := e.claim(); ok; tk, ok = e.claim() {
+			j, s := tk.layer, tk.shard
+			switch covered, mark := e.layers[j-1].covered(), e.layers[j].watermark[s]; {
+			case s != next[j]:
+				t.Fatalf("claimed layer %d shard %d, want shard %d next", j, s, next[j])
+			case j >= 2 && !e.layers[j-2].complete():
+				t.Fatalf("claimed layer %d shard %d with layer %d incomplete", j, s, j-2)
+			case covered < mark:
+				t.Fatalf("claimed layer %d shard %d with %d ranks of layer %d compacted, below its watermark %d", j, s, covered, j-1, mark)
+			}
+			next[j]++
+			waiting = append(waiting, tk)
+		}
+		if len(waiting) == 0 {
+			t.Fatal("no shard eligible or waiting before the last layer completed")
+		}
+		i := max(0, slices.IndexFunc(waiting, func(tk wsTask) bool { return tk.shard < e.layers[tk.layer].nShards-1 }))
+		tk := waiting[i]
+		waiting = slices.Delete(waiting, i, i+1)
+		e.runShard(0, tk)
 	}
-	if _, ok := e.deques[0].pop(); ok {
-		t.Fatal("worker 0's deque should start empty")
-	}
-	e.run(0)
 	if err := e.failErr(); err != nil {
-		t.Fatalf("engine failed: %v", err)
+		t.Fatal(err)
 	}
-	if !e.finished() {
-		t.Fatal("pipeline did not finish")
+	for j := 1; j <= e.n; j++ {
+		if next[j] != e.layers[j].nShards {
+			t.Errorf("layer %d: %d of %d shards claimed", j, next[j], e.layers[j].nShards)
+		}
 	}
-	if e.workers[0].steals == 0 {
-		t.Fatal("worker 0 completed the pipeline without stealing the claimed shard")
+	if cost, order := e.layers[e.n].costs[0], e.ordering(); cost != serial.MinCost || !slices.Equal(order, serial.Ordering) {
+		t.Fatalf("claimed run: cost %d ordering %v, serial %d %v", cost, order, serial.MinCost, serial.Ordering)
 	}
-	if got := e.layers[e.n].costs[0]; got != serial.MinCost {
-		t.Fatalf("final-layer cost %d != serial %d", got, serial.MinCost)
-	}
-	e.releaseAll()
 }
 
 // TestWSWorkerGenWraparound checks the class pass's label scratch: it is

@@ -361,12 +361,10 @@ const (
 	// operations, folded from KindLayerEnd events by HistogramSink.
 	HistNameDPLayer      = "dp_layer_ns"
 	HistNameDPLayerCells = "dp_layer_cell_ops"
-	// HistNameShardOccupancy / RunSteals describe the work-stealing DP
-	// scheduler: shards executed per worker per run (occupancy — a flat
-	// distribution means the steal protocol balanced the layer pipeline)
-	// and shards stolen per run.
+	// HistNameShardOccupancy describes the pipelined DP scheduler: shards
+	// executed per worker per run (occupancy — a flat distribution means
+	// the workers' claims balanced the layer pipeline).
 	HistNameShardOccupancy = "ws_shard_occupancy"
-	HistNameRunSteals      = "ws_run_steals"
 )
 
 // Package-level handles for the layer sink's hot path (one lookup at

@@ -83,9 +83,10 @@ var Metrics struct {
 	// WorkerSpawns counts goroutines launched by the parallel solver
 	// (its worker 0 runs on the calling goroutine).
 	WorkerSpawns Counter
-	// ShardsExecuted counts lattice shards processed by the work-stealing
-	// DP scheduler; ShardSteals the subset of those a worker took from
-	// another worker's deque rather than its own.
+	// ShardsExecuted counts lattice shards processed by the pipelined
+	// DP scheduler. ShardSteals reads 0, since every worker runs only
+	// the shards it claims; the workload benchmark (benchsuite) still
+	// reads it, for core.dp.steal_frac.
 	ShardsExecuted Counter
 	ShardSteals    Counter
 	// PeakCells is the largest metered live-cell count ever observed —

@@ -15,7 +15,7 @@ import (
 // that opt in via SolveHints.Coschedule are grouped by variable count,
 // rule and canonical-digest prefix, and each group whose tables overlap
 // is solved as ONE shared-forest dynamic program under one worker slot —
-// the work-stealing DP engine over the group's concatenated tables, under
+// the pipelined DP engine over the group's concatenated tables, under
 // the group head's schedule. The shared DP amortizes the subset lattice
 // across the group, so k overlapping items cost far less than k
 // independent solves. The planner's decision is echoed per item in

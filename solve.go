@@ -94,36 +94,32 @@ func WithMeter(m *Meter) Option {
 	return func(c *solveConfig) { c.opts.Meter = m }
 }
 
-// Schedule configures the work-stealing scheduler behind the parallel
-// solver paths: worker count, shard granularity, and whether stealing is
-// enabled. The zero value is the automatic default (GOMAXPROCS workers,
-// or one inline worker for small runs; auto-sized shards; stealing on).
+// Schedule configures the pipeline scheduler behind the parallel solver
+// paths: worker count and shard granularity. Each worker claims the next
+// eligible shard from the shared frontier and runs it at once. The zero
+// value is the automatic default (GOMAXPROCS workers, or one inline
+// worker for small runs; auto-sized shards).
 type Schedule struct {
 	// Workers is the goroutine count of the parallel dynamic program,
 	// SolveShared's included; 0 selects GOMAXPROCS, or one inline worker
 	// for small runs.
 	Workers int
-	// ShardBits overrides the shard granularity of the work-stealing DP:
+	// ShardBits overrides the shard granularity of the pipelined DP:
 	// when positive, each popcount layer is split into shards of
 	// 2^ShardBits lattice ranks. 0 sizes shards automatically from the
 	// layer size and worker count. Scheduling-experiment knob; the
 	// default is right for production use.
 	ShardBits int
-	// Pinned disables work stealing: each worker runs only shards it
-	// claimed itself. Throughput is generally worse than the stealing
-	// default; useful for isolating scheduling effects.
-	Pinned bool
 }
 
-// WithSchedule configures the parallel scheduler: worker count, shard
-// granularity, and stealing. It applies to the "parallel" solver, to the
+// WithSchedule configures the parallel scheduler: worker count and shard
+// granularity. It applies to the "parallel" solver, to the
 // portfolio (which runs that engine), and to SolveShared, which runs the
 // same engine over the roots' concatenated tables.
 func WithSchedule(s Schedule) Option {
 	return func(c *solveConfig) {
 		c.opts.Workers = s.Workers
 		c.opts.ShardBits = s.ShardBits
-		c.opts.Pinned = s.Pinned
 	}
 }
 
@@ -144,7 +140,7 @@ func NewTableChecked(n int) (*Table, error) {
 
 // Solve finds an optimal variable ordering for tt under the configured
 // strategy. With no options it runs the portfolio solver on OBDDs: the
-// work-stealing Friedman–Supowit dynamic program, whose work (Theorem 5)
+// pipelined Friedman–Supowit dynamic program, whose work (Theorem 5)
 // and peak space (Remark 1) are known before it starts. Only when
 // WithBudget's MaxCells is below that peak does it run branch-and-bound
 // instead, seeded by a heuristic phase (sifting, then simulated
@@ -228,7 +224,7 @@ func SolveArtifact(ctx context.Context, tt *Table, opts ...Option) (*Result, *Ar
 // functions over the same variables.
 //
 // Only the Friedman–Supowit dynamic program solves the shared problem.
-// SolveShared runs it on the work-stealing engine of the "parallel"
+// SolveShared runs it on the pipelined engine of the "parallel"
 // solver, with the m roots' truth tables laid end to end in one base
 // table, so it accepts a subset of Solve's options: WithRule,
 // WithDeadline, WithBudget, WithMeter, WithTrace and WithSchedule

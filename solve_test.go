@@ -96,7 +96,7 @@ func TestSolveSharedOptionValidation(t *testing.T) {
 		{"unknown solver rejected", []Option{WithSolver("no-such")}, true},
 		{"workers accepted", []Option{WithSchedule(Schedule{Workers: 4})}, false},
 		{"workers with fs accepted", []Option{WithSolver("fs"), WithSchedule(Schedule{Workers: 2})}, false},
-		{"schedule accepted", []Option{WithSchedule(Schedule{Workers: 2, ShardBits: 1, Pinned: true})}, false},
+		{"schedule accepted", []Option{WithSchedule(Schedule{Workers: 2, ShardBits: 1})}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -131,7 +131,7 @@ func TestWithScheduleFacade(t *testing.T) {
 	if err != nil {
 		t.Fatalf("serial reference: %v", err)
 	}
-	got, err := Solve(context.Background(), tt, WithSolver("parallel"), WithSchedule(Schedule{Workers: 3, ShardBits: 2, Pinned: true}))
+	got, err := Solve(context.Background(), tt, WithSolver("parallel"), WithSchedule(Schedule{Workers: 3, ShardBits: 2}))
 	if err != nil {
 		t.Fatalf("scheduled parallel: %v", err)
 	}
