@@ -15,7 +15,8 @@ import (
 )
 
 // ringAudit follows one engine run's ring through ringHook: the slabs it
-// holds, and how many it took and gave back.
+// holds, and how many it took and let go: swapped out of a slot, or held
+// at release.
 type ringAudit struct {
 	t        *testing.T
 	name     string
@@ -54,7 +55,7 @@ func (a *ringAudit) event(ar *arena.Arena, k int, slab []uint32, fresh bool) {
 		}
 	case k == 0:
 		if a.held[&slab[0]] == nil {
-			t.Errorf("%s: gave back a %d-cell slab the ring did not hold", a.name, cap(slab))
+			t.Errorf("%s: swapped out a %d-cell slab the ring did not hold", a.name, cap(slab))
 		}
 		delete(a.held, &slab[0])
 		a.returned++
@@ -83,11 +84,11 @@ func (a *ringAudit) event(ar *arena.Arena, k int, slab []uint32, fresh bool) {
 // TestRingLifecycle runs the engine over a single root, a 3-root shared
 // base and the orbit lattice of a symmetric input, each to completion, to
 // a MaxNodes stop, to a MaxCells stop and pre-canceled, and audits the
-// ring of layer slabs: every slab taken goes back to the arena, at most
-// three are held at once, a pre-canceled run takes none, a fresh slab is
-// exactly the layer that opened it, none exceeds wsSlabLimit times its
-// slot's largest layer, and the released arena holds exactly the slabs
-// the run held. Each case runs at one worker on an empty arena pool (two
+// ring of layer slabs: every slab taken leaves the ring or is held at
+// release, at most three are held at once, a pre-canceled run takes none,
+// a fresh slab is exactly the layer that opened it, none exceeds
+// wsSlabLimit times its slot's largest layer, and the released arena
+// holds exactly the slabs the run held. Each case runs at one worker on an empty arena pool (two
 // collections drop whatever sync.Pool holds), so its slabs are fresh,
 // then at three workers on the arena that run released.
 func TestRingLifecycle(t *testing.T) {
